@@ -40,7 +40,9 @@
 //! which `scripts/bench_compare.sh` gates at ≥ 4× in full mode, and a
 //! flat `"soa"` object doing the same for the scaling pairs
 //! (`party.soa.*` collapsed-vs-scalar, `channel.sparse.*`
-//! sparse-vs-dense), gated at ≥ 3×. The `scheme.rewind.n1e5` row pins
+//! sparse-vs-dense, and the independent-noise consensus cells
+//! `scheme.*.independent` against their per-party twins), gated at
+//! ≥ 3×. The `scheme.rewind.n1e5` row pins
 //! the collapsed engine's wall-clock at fig_scale's scale regime. The
 //! `config` block records the host's core count and `BEEPS_THREADS` so
 //! the comparison script can flag cross-hardware baselines.
@@ -56,8 +58,8 @@ use beeps_channel::{
     Party, StochasticChannel, LANES,
 };
 use beeps_core::{
-    CodeCache, HierarchicalSimulator, OneToZeroSimulator, RepetitionSimulator, RewindSimulator,
-    SimulatorConfig, SoaScratch,
+    CodeCache, HierarchicalSimulator, OneToZeroSimulator, OwnedRoundsSimulator,
+    RepetitionSimulator, RewindSimulator, SimulatorConfig, SoaScratch,
 };
 use beeps_ecc::{BitMetric, RandomCode, SymbolCode};
 use beeps_metrics::{MetricsRegistry, Stopwatch};
@@ -185,15 +187,25 @@ const LANE_PAIRS: [(&str, &str); 6] = [
 /// Scaling benchmarks paired with their pre-scaling twins: the `"soa"`
 /// section reports `slow ns_per_op ÷ fast ns_per_op` under the slow
 /// (baseline) name, and `scripts/bench_compare.sh` gates each ratio at
-/// ≥ 3× in full mode. Per-party round ops on the soa pair and transmit
-/// ops on the channel pair keep both ratios honest per-unit-of-work.
-const SOA_PAIRS: [(&str, &str); 3] = [
+/// ≥ 3× in full mode. Per-party round ops on the soa pair, transmit
+/// ops on the channel pair and trial ops on the scheme pairs keep every
+/// ratio honest per-unit-of-work.
+const SOA_PAIRS: [(&str, &str); 6] = [
     ("party.soa.scalar.n1e4", "party.soa.collapsed.n1e4"),
     (
         "channel.dense.transmit.n1e4",
         "channel.sparse.transmit.n1e4",
     ),
     ("scheme.repetition.n64", "scheme.repetition.soa"),
+    ("scheme.rewind.independent", "scheme.rewind.independent.soa"),
+    (
+        "scheme.hierarchical.independent",
+        "scheme.hierarchical.independent.soa",
+    ),
+    (
+        "scheme.owned_rounds.independent",
+        "scheme.owned_rounds.independent.soa",
+    ),
 ];
 
 /// The word-level [`Strider`]: same stride schedule, but beeping on all
@@ -574,6 +586,72 @@ fn soa_benches(suite: &mut Suite) {
     let mut scratch = SoaScratch::default();
     suite.bench("party.soa.collapsed.n1e4", || {
         chan_rounds(sim.simulate_with_scratch(&inputs, model, 0x50A, &mut scratch))
+    });
+
+    // --- scheme.*.independent: the per-party scalar engines under
+    // `Independent { ε = 0.1 }` at n = 32 (the independent_mc cells)
+    // against `simulate`, which runs the collapsed bodies over the
+    // consensus backend and replays the trials some party would have
+    // decoded differently. 128 fixed seeds per op group: about 7 % of
+    // rewind and hierarchical trials replay, and fewer seeds leave that
+    // share to luck (seeds 0..32 replay 4 of 32); the ratio is the
+    // per-trial speedup replays included.
+    let n = 32usize;
+    let indep = NoiseModel::Independent { epsilon: 0.1 };
+    let seeds = 0..if suite.args.smoke { 2 } else { 128 } as u64;
+    let trials = seeds.clone().count();
+    let config = SimulatorConfig::builder(n).model(indep).build();
+    let set = InputSet::new(n);
+    let set_inputs: Vec<usize> = (0..n).map(|i| (5 * i + 3) % (2 * n)).collect();
+    let roll = RollCall::new(n);
+    let roll_inputs: Vec<bool> = (0..n).map(|i| i % 3 != 0).collect();
+    let rewind = RewindSimulator::new(&set, config.clone());
+    let hier = HierarchicalSimulator::new(&set, config.clone());
+    let owned = OwnedRoundsSimulator::new(&roll, config);
+    suite.bench_with_iters("scheme.rewind.independent", scalar_iters, || {
+        for seed in seeds.clone() {
+            let mut ch = StochasticChannel::new(n, indep, seed);
+            let out = rewind.simulate_over(&set_inputs, indep, &mut ch);
+            std::hint::black_box(out.ok().map_or(0, |o| o.stats().energy));
+        }
+        trials
+    });
+    suite.bench("scheme.rewind.independent.soa", || {
+        for seed in seeds.clone() {
+            let out = rewind.simulate_with_scratch(&set_inputs, indep, seed, &mut scratch);
+            std::hint::black_box(out.ok().map_or(0, |o| o.stats().energy));
+        }
+        trials
+    });
+    suite.bench_with_iters("scheme.hierarchical.independent", scalar_iters, || {
+        for seed in seeds.clone() {
+            let mut ch = StochasticChannel::new(n, indep, seed);
+            let out = hier.simulate_over(&set_inputs, indep, &mut ch);
+            std::hint::black_box(out.ok().map_or(0, |o| o.stats().energy));
+        }
+        trials
+    });
+    suite.bench("scheme.hierarchical.independent.soa", || {
+        for seed in seeds.clone() {
+            let out = hier.simulate_with_scratch(&set_inputs, indep, seed, &mut scratch);
+            std::hint::black_box(out.ok().map_or(0, |o| o.stats().energy));
+        }
+        trials
+    });
+    suite.bench("scheme.owned_rounds.independent", || {
+        for seed in seeds.clone() {
+            let mut ch = StochasticChannel::new(n, indep, seed);
+            let out = owned.simulate_over(&roll_inputs, indep, &mut ch);
+            std::hint::black_box(out.ok().map_or(0, |o| o.stats().energy));
+        }
+        trials
+    });
+    suite.bench("scheme.owned_rounds.independent.soa", || {
+        for seed in seeds.clone() {
+            let out = owned.simulate_with_scratch(&roll_inputs, indep, seed, &mut scratch);
+            std::hint::black_box(out.ok().map_or(0, |o| o.stats().energy));
+        }
+        trials
     });
 
     // --- channel.sparse.*: independent-noise transmit at n = 10^4,

@@ -94,22 +94,34 @@ fn merged_registries_are_thread_count_invariant_for_every_scheme() {
     }
 }
 
-/// Independent noise exercises the batched 64-round mask blocks and the
-/// per-party delivery path; the merged registry must stay bitwise
-/// identical at 1, 2, and 8 threads there too (the batched sampler is
-/// seeded per trial, so scheduling cannot leak into the masks).
+/// Independent noise exercises the batched 64-round mask blocks, the
+/// per-party delivery path, and the consensus engines with their scalar
+/// replays; the merged registry must stay bitwise identical at 1, 2,
+/// and 8 threads there too (the batched sampler is seeded per trial, so
+/// scheduling cannot leak into the masks or into which trials replay).
 #[test]
 fn merged_registries_are_thread_count_invariant_under_independent_noise() {
     let p = InputSet::new(N);
+    let owned_p = RollCall::new(N);
     let indep = NoiseModel::Independent { epsilon: 0.05 };
     let config = SimulatorConfig::builder(N).model(indep).build();
 
     let naked = NakedSimulator::new(&p);
     let repetition = RepetitionSimulator::new(&p, config.clone());
-    let rewind = RewindSimulator::new(&p, config);
+    let rewind = RewindSimulator::new(&p, config.clone());
+    let hierarchical = HierarchicalSimulator::new(&p, config.clone());
+    let owned = OwnedRoundsSimulator::new(&owned_p, config);
 
-    let schemes: [&(dyn Simulator<usize, std::collections::BTreeSet<usize>> + Sync); 3] =
-        [&naked, &repetition, &rewind];
+    let serial = merged_registry(&owned, indep, &roll_call_gen, 1);
+    for threads in [2, 8] {
+        let parallel = merged_registry(&owned, indep, &roll_call_gen, threads);
+        assert_eq!(
+            serial, parallel,
+            "owned_rounds threads {threads} under independent noise"
+        );
+    }
+    let schemes: [&(dyn Simulator<usize, std::collections::BTreeSet<usize>> + Sync); 4] =
+        [&naked, &repetition, &rewind, &hierarchical];
     for sim in schemes {
         let serial = merged_registry(sim, indep, &input_set_gen, 1);
         assert!(

@@ -107,13 +107,14 @@ fn unobserved_run_takes_the_inert_path() {
     let runner = TrialRunner::new(2);
     assert!(runner.observer().is_none());
 
-    // No ambient observer is installed anywhere in a trial closure, so
-    // the per-trial observability check is a single relaxed load that
-    // answers false — the no-op path.
+    // No ambient observer is installed on any worker of this run, so
+    // every instrumentation point in a trial closure takes the no-op
+    // path. (`is_active` is the process-wide hint: sibling tests may
+    // have observers installed on their own threads meanwhile.)
     let saw_active = Arc::new(AtomicBool::new(false));
     let saw = Arc::clone(&saw_active);
     let out = runner.run(11, 64, move |t| {
-        if beeps_observe::is_active() {
+        if beeps_observe::installed_here() {
             saw.store(true, Ordering::Relaxed);
         }
         skewed_trial(t.index, t.seed)

@@ -31,12 +31,19 @@ const BLOCK_ROUNDS: usize = 64;
 /// `P(k) = ε(1−ε)^k`, via inversion of one uniform draw. Returns
 /// `u64::MAX` ("never") for ε ≤ 0 without consuming randomness.
 pub(crate) fn geometric_gap(epsilon: f64, rng: &mut StdRng) -> u64 {
+    geometric_gap_keep(epsilon, (1.0 - epsilon).ln(), rng)
+}
+
+/// [`geometric_gap`] with `ln(1−ε)` (`ln_keep`) computed by the caller,
+/// so a loop of draws pays one logarithm per draw instead of two. The
+/// value is the same either way, and so is every gap.
+fn geometric_gap_keep(epsilon: f64, ln_keep: f64, rng: &mut StdRng) -> u64 {
     if epsilon <= 0.0 {
         return u64::MAX;
     }
     let u: f64 = rng.gen_range(0.0..1.0);
     // floor(ln(1−U) / ln(1−ε)): U ∈ [1−(1−ε)^k, 1−(1−ε)^{k+1}) ⇒ gap k.
-    let gap = ((1.0 - u).ln() / (1.0 - epsilon).ln()).floor();
+    let gap = ((1.0 - u).ln() / ln_keep).floor();
     if gap >= u64::MAX as f64 {
         u64::MAX
     } else {
@@ -46,8 +53,8 @@ pub(crate) fn geometric_gap(epsilon: f64, rng: &mut StdRng) -> u64 {
 
 /// Advances a flip position by one round plus a fresh geometric gap,
 /// saturating at "never".
-fn next_flip_position(pos: u64, epsilon: f64, rng: &mut StdRng) -> u64 {
-    let gap = geometric_gap(epsilon, rng);
+fn next_flip_position(pos: u64, epsilon: f64, ln_keep: f64, rng: &mut StdRng) -> u64 {
+    let gap = geometric_gap_keep(epsilon, ln_keep, rng);
     if gap == u64::MAX {
         u64::MAX
     } else {
@@ -171,13 +178,14 @@ impl IndependentSampler {
             bucket.clear();
         }
         if let Some(mut due) = self.calendar.remove(&self.block) {
+            let ln_keep = (1.0 - epsilon).ln();
             due.sort_unstable();
             let base = self.block * BLOCK_ROUNDS as u64;
             for (p, off) in due {
                 let mut pos = u64::from(off);
                 while pos < BLOCK_ROUNDS as u64 {
                     self.buckets[pos as usize].push(p);
-                    pos = next_flip_position(pos, epsilon, rng);
+                    pos = next_flip_position(pos, epsilon, ln_keep, rng);
                 }
                 calendar_insert(&mut self.calendar, p, base.saturating_add(pos));
             }

@@ -210,6 +210,11 @@ impl LaneChannel {
     }
 }
 
+/// One span's flips from [`IndependentLaneChannel::span_flip_events`]:
+/// ascending `(party, flip count)` pairs, then every flipped delivery
+/// as `(round offset, party)` in round order.
+pub type SpanFlips<'a> = (&'a [(u32, u32)], &'a [(u32, u32)]);
+
 /// Per-lane independent-noise state: the same `{rng, skip sampler}`
 /// pair a scalar [`StochasticChannel`](crate::StochasticChannel)'s
 /// independent sampler carries, advanced in the same draw order.
@@ -251,6 +256,9 @@ pub struct IndependentLaneChannel {
     /// `(party, flips)` output buffer of the last `span_flips` call,
     /// ascending by party.
     span_flips: Vec<(u32, u32)>,
+    /// `(round offset, party)` of every flip of the last span, in
+    /// round order.
+    span_events: Vec<(u32, u32)>,
 }
 
 impl IndependentLaneChannel {
@@ -301,6 +309,7 @@ impl IndependentLaneChannel {
             span_counts: vec![0; n],
             span_touched: Vec::new(),
             span_flips: Vec::new(),
+            span_events: Vec::new(),
         })
     }
 
@@ -370,20 +379,62 @@ impl IndependentLaneChannel {
     /// of the OR bit — which is all a repetition decode needs, so the
     /// span costs O(flips) instead of O(`rounds × n`).
     pub fn span_flips(&mut self, lane: usize, rounds: u64) -> &[(u32, u32)] {
+        self.walk_span(lane, rounds, false);
+        self.collect_span()
+    }
+
+    /// Delivers `rounds` consecutive rounds on one lane and returns the
+    /// largest number of them any one party heard flipped — all a
+    /// threshold vote over a constant OR needs to know whether some
+    /// party decided it differently, without sorting the flip list.
+    pub fn span_max_flips(&mut self, lane: usize, rounds: u64) -> u32 {
+        self.walk_span(lane, rounds, false);
+        let mut most = 0;
+        for &p in self.span_touched.iter() {
+            most = most.max(std::mem::take(&mut self.span_counts[p as usize]));
+        }
+        self.span_touched.clear();
+        most
+    }
+
+    /// [`IndependentLaneChannel::span_flips`] plus *where* the flips
+    /// fell: the second slice lists every flipped delivery of the span
+    /// as `(round offset, party)`, rounds in order and parties ascending
+    /// within a round — a codeword's per-party error pattern, without a
+    /// [`Delivery`](crate::Delivery) per round.
+    pub fn span_flip_events(&mut self, lane: usize, rounds: u64) -> SpanFlips<'_> {
+        self.walk_span(lane, rounds, true);
+        self.collect_span();
+        (&self.span_flips, &self.span_events)
+    }
+
+    /// Advances one lane's sampler `rounds` times, counting corrupted
+    /// rounds and each party's flips (and, with `events`, recording
+    /// every flipped delivery) for the span methods above.
+    fn walk_span(&mut self, lane: usize, rounds: u64, events: bool) {
         let state = &mut self.lanes[lane];
-        for _ in 0..rounds {
+        self.span_events.clear();
+        for round in 0..rounds {
             let bucket = state.skipper.advance(self.epsilon, &mut state.rng);
             if bucket.is_empty() {
                 continue;
             }
             self.corrupted[lane] += 1;
             for &p in bucket.iter() {
+                if events {
+                    self.span_events.push((round as u32, p));
+                }
                 if self.span_counts[p as usize] == 0 {
                     self.span_touched.push(p);
                 }
                 self.span_counts[p as usize] += 1;
             }
         }
+    }
+
+    /// Turns the walked span's counts into the ascending
+    /// `(party, flips)` list, resetting the counts.
+    fn collect_span(&mut self) -> &[(u32, u32)] {
         self.span_touched.sort_unstable();
         self.span_flips.clear();
         for &p in self.span_touched.iter() {
@@ -742,6 +793,31 @@ mod tests {
                 }
                 scalar_corrupted += scalar.corrupted_rounds() as u64;
                 assert_eq!(lanes.corrupted(lane), scalar_corrupted, "n={n} lane {lane}");
+            }
+        }
+    }
+
+    #[test]
+    fn span_max_flips_is_the_most_flipped_partys_count() {
+        // Same seed on two channels: the max-only walk draws exactly
+        // like the full flip list and reports its largest count.
+        let model = NoiseModel::Independent { epsilon: 0.2 };
+        for n in [1usize, 5, 65] {
+            let mut max_only = IndependentLaneChannel::new(n, model, &[7]).expect("independent");
+            let mut listed = IndependentLaneChannel::new(n, model, &[7]).expect("independent");
+            for rounds in [5u64, 1, 64, 3, 200, 0, 129] {
+                let want = listed
+                    .span_flips(0, rounds)
+                    .iter()
+                    .map(|&(_, f)| f)
+                    .max()
+                    .unwrap_or(0);
+                assert_eq!(
+                    max_only.span_max_flips(0, rounds),
+                    want,
+                    "n={n} span {rounds}"
+                );
+                assert_eq!(max_only.corrupted(0), listed.corrupted(0));
             }
         }
     }

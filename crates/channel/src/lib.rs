@@ -78,7 +78,9 @@ pub use bits::BitVec;
 pub use burst::BurstNoiseChannel;
 pub use channel::{Channel, ReducedTwoSidedChannel, ScriptedChannel, StochasticChannel};
 pub use executor::{ExecutionStats, Executor, Party};
-pub use lanes::{IndependentLaneChannel, LaneChannel, LaneExecutor, LaneParty, LaneStats, LANES};
+pub use lanes::{
+    IndependentLaneChannel, LaneChannel, LaneExecutor, LaneParty, LaneStats, SpanFlips, LANES,
+};
 pub use multiplication::MultiplicationChannel;
 pub use noise::{Delivery, NoiseModel};
 pub use protocol::{

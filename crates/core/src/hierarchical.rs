@@ -102,7 +102,10 @@ impl<'a, P: Protocol> HierarchicalSimulator<'a, P> {
     /// arena: shared-delivery models run on the collapsed
     /// struct-of-arrays engine (see [`crate::soa`]), whose buffers live
     /// in `scratch` so a worker thread can run many trials
-    /// allocation-free. Results are bitwise identical to
+    /// allocation-free; independent noise runs the same body over the
+    /// consensus backend, replaying the trial through
+    /// [`HierarchicalSimulator::simulate_over`] when a party would have
+    /// decoded differently. Results are bitwise identical to
     /// [`HierarchicalSimulator::simulate`] (which is this method with a
     /// throwaway scratch).
     ///
@@ -136,6 +139,23 @@ impl<'a, P: Protocol> HierarchicalSimulator<'a, P> {
                 scratch,
             );
         }
+        // Independent noise: the collapsed body over the consensus
+        // backend, replayed on the scalar engine if any party would have
+        // decoded differently (see `ConsensusBits`).
+        let consensus = crate::soa::consensus(n, model, seed, |bits| {
+            crate::soa::hierarchical_collapsed_over(
+                self.protocol,
+                &self.config,
+                inputs,
+                model,
+                bits,
+                scratch,
+            )
+        });
+        if let Some(result) = consensus {
+            return result;
+        }
+        beeps_observe::mark("sim.hierarchical.replay");
         let mut channel = StochasticChannel::new(n, model, seed);
         self.simulate_over(inputs, model, &mut channel)
     }
@@ -145,10 +165,12 @@ impl<'a, P: Protocol> HierarchicalSimulator<'a, P> {
     /// [`HierarchicalSimulator::simulate`] with that seed (same
     /// transcripts, statistics, and `BudgetExhausted` errors).
     ///
-    /// Independent noise (and invalid ε) falls back to the scalar
-    /// per-trial loop — per-party deliveries diverge there, so the
-    /// shared-transcript collapse the lane engine relies on does not
-    /// hold.
+    /// Independent noise (and invalid ε) loops over
+    /// [`HierarchicalSimulator::simulate`] per seed, where each trial
+    /// runs the collapsed body over the consensus backend and replays
+    /// on the scalar engine only if some party would have decoded
+    /// differently. A lane engine does not apply there: per-party
+    /// deliveries leave no single shared bit per trial to slice.
     ///
     /// # Panics
     ///
@@ -498,7 +520,9 @@ impl<'a, P: Protocol> HierParty<'a, P> {
                 // The confirmation found damage: binary-search it away by
                 // falling back into a normal full-window check.
                 check.is_final = false;
-                check.hi = check.boundary - 1;
+                // Over no committed chunks (noise flagged a silent
+                // vote), the search keeps 0 chunks.
+                check.hi = check.boundary.saturating_sub(1);
                 check.steps_left = Self::steps_for(check.hi - check.lo);
                 if check.steps_left == 0 || check.hi < check.lo {
                     self.truncate_to(check.lo);
@@ -513,9 +537,10 @@ impl<'a, P: Protocol> HierParty<'a, P> {
             return;
         }
 
-        // Standard binary-search update over kept-chunk counts.
+        // Standard binary-search update over kept-chunk counts. Noise
+        // can flag boundary 0 (a vote with 0 committed chunks): keep 0.
         if flagged {
-            check.hi = check.boundary - 1;
+            check.hi = check.boundary.saturating_sub(1);
         } else {
             check.lo = check.boundary;
         }

@@ -89,7 +89,10 @@ impl<'a, P: UniquelyOwned> OwnedRoundsSimulator<'a, P> {
     /// [`OwnedRoundsSimulator::simulate`] with a caller-owned scratch
     /// arena: shared-delivery models run on the collapsed
     /// struct-of-arrays engine (see [`crate::soa`]), bitwise identical
-    /// to the scalar path.
+    /// to the scalar path; independent noise runs the same body over
+    /// the consensus backend, replaying the trial through
+    /// [`OwnedRoundsSimulator::simulate_over`] when a party would have
+    /// decoded differently.
     ///
     /// # Errors
     ///
@@ -121,6 +124,23 @@ impl<'a, P: UniquelyOwned> OwnedRoundsSimulator<'a, P> {
                 scratch,
             );
         }
+        // Independent noise: the collapsed body over the consensus
+        // backend, replayed on the scalar engine if any party would have
+        // decoded differently (see `ConsensusBits`).
+        let consensus = crate::soa::consensus(n, model, seed, |bits| {
+            crate::soa::owned_rounds_collapsed_over(
+                self.protocol,
+                &self.config,
+                inputs,
+                model,
+                bits,
+                scratch,
+            )
+        });
+        if let Some(result) = consensus {
+            return result;
+        }
+        beeps_observe::mark("sim.owned_rounds.replay");
         let mut channel = StochasticChannel::new(n, model, seed);
         self.simulate_over(inputs, model, &mut channel)
     }
@@ -129,10 +149,12 @@ impl<'a, P: UniquelyOwned> OwnedRoundsSimulator<'a, P> {
     /// channel word, every result bitwise identical to
     /// [`OwnedRoundsSimulator::simulate`] with that seed.
     ///
-    /// Independent noise (and invalid ε) falls back to the scalar
-    /// per-trial loop — per-party deliveries diverge there, so the
-    /// shared-transcript collapse the lane engine relies on does not
-    /// hold.
+    /// Independent noise (and invalid ε) loops over
+    /// [`OwnedRoundsSimulator::simulate`] per seed, where each trial
+    /// runs the collapsed body over the consensus backend and replays
+    /// on the scalar engine only if some party would have decoded
+    /// differently. A lane engine does not apply there: per-party
+    /// deliveries leave no single shared bit per trial to slice.
     ///
     /// # Panics
     ///

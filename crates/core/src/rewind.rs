@@ -95,7 +95,10 @@ impl<'a, P: Protocol> RewindSimulator<'a, P> {
     /// [`RewindSimulator::simulate`] with a caller-owned scratch arena:
     /// shared-delivery models run on the collapsed struct-of-arrays
     /// engine (see [`crate::soa`]), whose buffers live in `scratch` so a
-    /// worker thread can run many trials allocation-free. Results are
+    /// worker thread can run many trials allocation-free; independent
+    /// noise runs the same body over the consensus backend, replaying
+    /// the trial through [`RewindSimulator::simulate_over`] when a party
+    /// would have decoded differently. Results are
     /// bitwise identical to [`RewindSimulator::simulate`] (which is this
     /// method with a throwaway scratch).
     ///
@@ -129,6 +132,23 @@ impl<'a, P: Protocol> RewindSimulator<'a, P> {
                 scratch,
             );
         }
+        // Independent noise: the collapsed body over the consensus
+        // backend, replayed on the scalar engine if any party would have
+        // decoded differently (see `ConsensusBits`).
+        let consensus = crate::soa::consensus(n, model, seed, |bits| {
+            crate::soa::rewind_collapsed_over(
+                self.protocol,
+                &self.config,
+                inputs,
+                model,
+                bits,
+                scratch,
+            )
+        });
+        if let Some(result) = consensus {
+            return result;
+        }
+        beeps_observe::mark("sim.rewind.replay");
         let mut channel = StochasticChannel::new(n, model, seed);
         self.simulate_over(inputs, model, &mut channel)
     }
@@ -139,10 +159,12 @@ impl<'a, P: Protocol> RewindSimulator<'a, P> {
     /// `BudgetExhausted` errors alike — is bitwise identical to
     /// [`RewindSimulator::simulate`] with that seed.
     ///
-    /// Independent noise (and invalid ε) falls back to the scalar
-    /// per-trial loop — per-party deliveries diverge there, so the
-    /// collapsed shared decode state the lane engine relies on does not
-    /// hold.
+    /// Independent noise (and invalid ε) loops over
+    /// [`RewindSimulator::simulate`] per seed, where each trial
+    /// runs the collapsed body over the consensus backend and replays
+    /// on the scalar engine only if some party would have decoded
+    /// differently. A lane engine does not apply there: per-party
+    /// deliveries leave no single shared bit per trial to slice.
     ///
     /// # Panics
     ///

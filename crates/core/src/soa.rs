@@ -34,6 +34,15 @@
 //!   `BudgetExhausted` error, is **bitwise identical** to the scalar
 //!   path (pinned in `tests/packed_equivalence.rs`).
 //!
+//! * **Consensus under independent noise** — with per-party noise the
+//!   collapse is not structural but holds run by run: while every party
+//!   decodes each vote and codeword exactly as a noiseless listener
+//!   would, the `n` state machines stay in lockstep. The rewind,
+//!   hierarchical and owned-rounds bodies run over [`ConsensusBits`],
+//!   which checks that premise at every decision and, when some party
+//!   would decide differently, has the caller replay the trial on its
+//!   scalar engine — so results stay bitwise the scalar ones.
+//!
 //! All scratch buffers live in a [`SoaScratch`] arena so a worker thread
 //! can run many trials through `TrialRunner::run_with_scratch` without
 //! per-trial allocation.
@@ -41,8 +50,9 @@
 use crate::outcome::{PhaseRounds, SimError, SimOutcome, SimStats};
 use crate::owners::metric_for;
 use crate::params::SimulatorConfig;
-use beeps_channel::{Channel, NoiseModel, Protocol, StochasticChannel};
+use beeps_channel::{Channel, IndependentLaneChannel, NoiseModel, Protocol, StochasticChannel};
 use beeps_ecc::bits::PackedBits;
+use beeps_ecc::{BitMetric, SymbolCode};
 
 /// Reads bit `i` of a packed party row.
 #[inline]
@@ -120,12 +130,19 @@ impl CumEntry {
 /// seam between the collapsed engine bodies and their channel backends.
 ///
 /// The collapsed engines are generic over this trait so the same
-/// round-for-round body drives both the scalar [`StochasticChannel`]
-/// (one trial) and one lane of a [`beeps_channel::LaneChannel`] (up to
-/// 64 trials per word, see [`crate::lanes`]). Implementations must be
-/// RNG-identical to the scalar channel: `ones(span, or)` must consume
-/// exactly the draws of `span` consecutive `bit(or)` calls, and
-/// `corrupted` must count every flipped delivery either way.
+/// round-for-round body drives the scalar [`StochasticChannel`] (one
+/// trial), one lane of a [`beeps_channel::LaneChannel`] (up to 64 trials
+/// per word, see [`crate::lanes`]), and the independent-noise
+/// [`ConsensusBits`]. Implementations must be RNG-identical to the
+/// scalar channel: `ones(span, or)` must consume exactly the draws of
+/// `span` consecutive `bit(or)` calls, and `corrupted` must count every
+/// flipped delivery either way.
+///
+/// The span-level methods ([`vote`](SharedBits::vote),
+/// [`idle`](SharedBits::idle), [`symbol`](SharedBits::symbol)) are
+/// where the bodies *decide* on what they heard. Their default bodies
+/// are the plain shared-delivery decode; [`ConsensusBits`] overrides
+/// them to check every party's decision against the consensus.
 pub(crate) trait SharedBits {
     /// One channel round with true OR `or`; returns the heard bit.
     fn bit(&mut self, or: bool) -> bool;
@@ -136,6 +153,67 @@ pub(crate) trait SharedBits {
 
     /// Corrupted rounds delivered so far.
     fn corrupted(&self) -> usize;
+
+    /// `span` rounds with constant true OR `or` decoded as one
+    /// threshold vote: whether at least `threshold` were heard as 1.
+    fn vote(&mut self, span: usize, or: bool, threshold: f64) -> bool {
+        self.ones(span, or) as f64 >= threshold
+    }
+
+    /// `span` silent rounds whose deliveries nobody decodes (the owners
+    /// phase's idle iterations).
+    fn idle(&mut self, span: usize) {
+        let _ = self.ones(span, false);
+    }
+
+    /// One owners-phase codeword: `codeword.len()` rounds whose true
+    /// ORs are `codeword`'s bits, heard into the receive buffer `word`
+    /// and decoded with `code` under `metric`.
+    fn symbol(
+        &mut self,
+        codeword: &PackedBits,
+        code: &dyn SymbolCode,
+        metric: BitMetric,
+        word: &mut PackedBits,
+    ) -> usize {
+        word.clear();
+        for idx in 0..codeword.len() {
+            word.push(self.bit(codeword.get(idx)));
+        }
+        code.decode_packed(word, metric)
+    }
+}
+
+impl<S: SharedBits + ?Sized> SharedBits for &mut S {
+    fn bit(&mut self, or: bool) -> bool {
+        (**self).bit(or)
+    }
+
+    fn ones(&mut self, span: usize, or: bool) -> usize {
+        (**self).ones(span, or)
+    }
+
+    fn corrupted(&self) -> usize {
+        (**self).corrupted()
+    }
+
+    fn vote(&mut self, span: usize, or: bool, threshold: f64) -> bool {
+        (**self).vote(span, or, threshold)
+    }
+
+    fn idle(&mut self, span: usize) {
+        (**self).idle(span);
+    }
+
+    fn symbol(
+        &mut self,
+        codeword: &PackedBits,
+        code: &dyn SymbolCode,
+        metric: BitMetric,
+        word: &mut PackedBits,
+    ) -> usize {
+        (**self).symbol(codeword, code, metric, word)
+    }
 }
 
 /// The scalar backend: one freshly seeded [`StochasticChannel`] serving
@@ -172,6 +250,160 @@ impl SharedBits for ScalarBits {
     fn corrupted(&self) -> usize {
         self.channel.corrupted_rounds()
     }
+}
+
+/// The independent-noise backend: one trial's per-party flips, heard
+/// as the *consensus* — what a noiseless listener decodes.
+///
+/// Under `Independent` noise each party hears its own copy of the OR,
+/// so the scalar engines step `n` state machines. But a party's state
+/// only moves at the end of a vote or a codeword, on what it decoded
+/// there. While every party decodes exactly what a noiseless listener
+/// would, all `n` state machines stay in lockstep with the collapsed
+/// body run on the consensus, and so do the channel's OR sequence,
+/// energy and round counts. This backend returns the consensus and
+/// checks that premise at every decision, looking only at the parties
+/// noise touched:
+///
+/// * a vote over `span` rounds: a party with `f` flips hears the OR
+///   `span − f` times, so the most-flipped party decides it worst;
+/// * a codeword: a party's word is the codeword with its flips
+///   inverted. Within the code's
+///   [`unique_decoding_radius`](SymbolCode::unique_decoding_radius) it
+///   provably decodes to the consensus; beyond it (or when the radius
+///   is unknown) the word is decoded.
+///
+/// Once a party would decide differently the run has
+/// [`diverged`](ConsensusBits::diverged): the caller discards its
+/// result and replays the trial on the scalar engine, on a fresh
+/// `StochasticChannel::new(n, model, seed)`. The draws here are the
+/// scalar channel's own ([`IndependentLaneChannel`] replays its
+/// sampler), so a run that does not diverge is bitwise the scalar
+/// run, `corrupted` included. A diverged run stops drawing noise.
+pub(crate) struct ConsensusBits {
+    channel: IndependentLaneChannel,
+    diverged: bool,
+}
+
+impl ConsensusBits {
+    /// A backend for the trial `StochasticChannel::new(n, model, seed)`
+    /// would serve.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `model` is not a validated `Independent` model or
+    /// `n == 0`.
+    pub(crate) fn new(n: usize, model: NoiseModel, seed: u64) -> Self {
+        let channel = IndependentLaneChannel::new(n, model, &[seed])
+            .expect("consensus runs serve validated independent-noise models");
+        Self {
+            channel,
+            diverged: false,
+        }
+    }
+
+    /// Whether some party would have decided differently from the
+    /// consensus.
+    pub(crate) fn diverged(&self) -> bool {
+        self.diverged
+    }
+}
+
+impl SharedBits for ConsensusBits {
+    fn bit(&mut self, or: bool) -> bool {
+        self.vote(1, or, 1.0)
+    }
+
+    /// The count every party heard: a span in which any party was
+    /// flipped diverges, so the bodies decide through
+    /// [`vote`](SharedBits::vote) instead.
+    fn ones(&mut self, span: usize, or: bool) -> usize {
+        if !self.diverged && self.channel.span_max_flips(0, span as u64) > 0 {
+            self.diverged = true;
+        }
+        if or {
+            span
+        } else {
+            0
+        }
+    }
+
+    fn corrupted(&self) -> usize {
+        self.channel.corrupted(0) as usize
+    }
+
+    fn vote(&mut self, span: usize, or: bool, threshold: f64) -> bool {
+        let decide = |ones: usize| ones as f64 >= threshold;
+        let consensus = decide(if or { span } else { 0 });
+        if !self.diverged {
+            // A party's decision is monotone in its flip count, so if
+            // any party disagrees, the most-flipped one does.
+            let most = self.channel.span_max_flips(0, span as u64) as usize;
+            let worst = if or { span - most } else { most };
+            self.diverged = decide(worst) != consensus;
+        }
+        consensus
+    }
+
+    fn idle(&mut self, span: usize) {
+        if !self.diverged {
+            let _ = self.channel.span_max_flips(0, span as u64);
+        }
+    }
+
+    fn symbol(
+        &mut self,
+        codeword: &PackedBits,
+        code: &dyn SymbolCode,
+        metric: BitMetric,
+        word: &mut PackedBits,
+    ) -> usize {
+        let consensus = code.decode_packed(codeword, metric);
+        if self.diverged {
+            return consensus;
+        }
+        let radius = if metric == BitMetric::Hamming {
+            code.unique_decoding_radius()
+        } else {
+            None
+        };
+        let (parties, events) = self.channel.span_flip_events(0, codeword.len() as u64);
+        for &(p, f) in parties {
+            if radius.is_some_and(|r| f <= r) {
+                continue;
+            }
+            word.clear();
+            for idx in 0..codeword.len() {
+                word.push(codeword.get(idx));
+            }
+            for &(round, q) in events {
+                if q == p {
+                    word.flip(round as usize);
+                }
+            }
+            if code.decode_packed(word, metric) != consensus {
+                self.diverged = true;
+                break;
+            }
+        }
+        consensus
+    }
+}
+
+/// Runs one independent-noise trial through a collapsed body over a
+/// [`ConsensusBits`] backend seeded like
+/// `StochasticChannel::new(n, model, seed)`. Returns `None` when the
+/// run diverged: the caller then replays the trial on its scalar
+/// engine, which is the result.
+pub(crate) fn consensus<T>(
+    n: usize,
+    model: NoiseModel,
+    seed: u64,
+    body: impl FnOnce(&mut ConsensusBits) -> T,
+) -> Option<T> {
+    let mut bits = ConsensusBits::new(n, model, seed);
+    let out = body(&mut bits);
+    (!bits.diverged()).then_some(out)
 }
 
 /// Reusable buffers of the collapsed engines; hand one to
@@ -253,9 +485,10 @@ impl SoaScratch {
     }
 }
 
-/// The collapsed rewind-scheme engine. Caller guarantees `model` is a
-/// validated shared-delivery model; `Independent` noise must take the
-/// scalar path (per-party deliveries break the collapse).
+/// The collapsed rewind-scheme engine over the scalar channel. Caller
+/// guarantees `model` is a validated shared-delivery model;
+/// `Independent` noise runs [`rewind_collapsed_over`] over
+/// [`ConsensusBits`] instead (see [`consensus`]).
 pub(crate) fn rewind_collapsed<P: Protocol>(
     protocol: &P,
     config: &SimulatorConfig,
@@ -276,7 +509,8 @@ pub(crate) fn rewind_collapsed<P: Protocol>(
 }
 
 /// [`rewind_collapsed`] generic over the channel backend — the body the
-/// lane engines in [`crate::lanes`] re-drive one lane at a time.
+/// lane engines in [`crate::lanes`] re-drive one lane at a time and the
+/// independent-noise consensus run drives over [`ConsensusBits`].
 pub(crate) fn rewind_collapsed_over<P: Protocol, S: SharedBits>(
     protocol: &P,
     config: &SimulatorConfig,
@@ -295,6 +529,8 @@ pub(crate) fn rewind_collapsed_over<P: Protocol, S: SharedBits>(
     let code_len = code.codeword_len();
     let r = config.repetitions;
     let v = config.verify_repetitions;
+    let rep_threshold = resolved.rep_ones as f64;
+    let verify_threshold = resolved.verify_ones as f64;
     let words = n.div_ceil(64);
     let window = config.verify_window.max(1);
 
@@ -356,8 +592,7 @@ pub(crate) fn rewind_collapsed_over<P: Protocol, S: SharedBits>(
                 }
             }
             let or = beeps > 0;
-            let ones = source.ones(r, or);
-            let bit = ones >= resolved.rep_ones;
+            let bit = source.vote(r, or, rep_threshold);
             scratch.bits.push(bit);
             scratch.working.push(bit);
             energy += r * beeps;
@@ -388,13 +623,8 @@ pub(crate) fn rewind_collapsed_over<P: Protocol, S: SharedBits>(
                 });
                 let symbol = claim.unwrap_or(next_symbol);
                 let codeword = code.encode_packed(symbol);
-                word.clear();
-                for idx in 0..code_len {
-                    let or = codeword.get(idx);
-                    energy += usize::from(or);
-                    word.push(source.bit(or));
-                }
-                let decoded = code.decode_packed(&word, metric);
+                energy += codeword.weight() as usize;
+                let decoded = source.symbol(&codeword, &*code, metric, &mut word);
                 if decoded == next_symbol {
                     turn += 1;
                 } else if decoded < len {
@@ -404,7 +634,7 @@ pub(crate) fn rewind_collapsed_over<P: Protocol, S: SharedBits>(
             } else {
                 // Idle iteration: every party is past its turn, nobody
                 // beeps — but the channel still delivers silent rounds.
-                let _ = source.ones(code_len, false);
+                source.idle(code_len);
             }
             rounds += code_len;
             phase_rounds.owners += code_len;
@@ -450,8 +680,7 @@ pub(crate) fn rewind_collapsed_over<P: Protocol, S: SharedBits>(
         }
         let flag_count = row_count(&scratch.flags);
         let or = flag_count > 0;
-        let ones = source.ones(v, or);
-        let failed = ones >= resolved.verify_ones;
+        let failed = source.vote(v, or, verify_threshold);
         energy += v * flag_count;
         rounds += v;
         phase_rounds.verify += v;
@@ -543,7 +772,8 @@ pub(crate) fn rewind_collapsed_over<P: Protocol, S: SharedBits>(
         protocol_rounds: t,
         chunks_committed,
         rewinds,
-        // Shared noise keeps every party's bookkeeping in lockstep.
+        // Shared noise, or a consensus run that did not diverge, keeps
+        // every party's bookkeeping in lockstep.
         agreement: true,
         energy,
         corrupted_rounds: source.corrupted() - corrupted_before,
@@ -637,7 +867,8 @@ pub(crate) fn repetition_collapsed_over<P: Protocol, S: SharedBits>(
 /// round's only legal beeper, so a chunk's violation row has at most
 /// one settable bit per round (the owner whose committed bit disagrees
 /// with its own beep). Caller guarantees `model` is a validated
-/// shared-delivery model.
+/// shared-delivery model; `Independent` noise runs
+/// [`owned_rounds_collapsed_over`] over [`ConsensusBits`] instead.
 pub(crate) fn owned_rounds_collapsed<P: beeps_channel::UniquelyOwned>(
     protocol: &P,
     config: &SimulatorConfig,
@@ -672,6 +903,8 @@ pub(crate) fn owned_rounds_collapsed_over<P: beeps_channel::UniquelyOwned, S: Sh
     let resolved = config.resolve(model);
     let r = config.repetitions;
     let v = config.verify_repetitions;
+    let rep_threshold = resolved.rep_ones as f64;
+    let verify_threshold = resolved.verify_ones as f64;
     let words = n.div_ceil(64);
     let window = config.verify_window.max(1);
 
@@ -723,8 +956,7 @@ pub(crate) fn owned_rounds_collapsed_over<P: beeps_channel::UniquelyOwned, S: Sh
                 }
             }
             let or = beeps > 0;
-            let ones = source.ones(r, or);
-            let bit = ones >= resolved.rep_ones;
+            let bit = source.vote(r, or, rep_threshold);
             scratch.bits.push(bit);
             scratch.owner_beeps.push(owner_beep);
             scratch.working.push(bit);
@@ -754,8 +986,7 @@ pub(crate) fn owned_rounds_collapsed_over<P: beeps_channel::UniquelyOwned, S: Sh
         }
         let flag_count = row_count(&scratch.flags);
         let or = flag_count > 0;
-        let ones = source.ones(v, or);
-        let failed = ones >= resolved.verify_ones;
+        let failed = source.vote(v, or, verify_threshold);
         energy += v * flag_count;
         rounds += v;
         phase_rounds.verify += v;
@@ -1162,7 +1393,8 @@ fn truncate_chunks<P: Protocol>(
 /// party (without consulting `flag_for_boundary`) — only fallback votes
 /// after a flagged confirmation probe real flags — and the collapsed
 /// engine replicates that silent first vote exactly. Caller guarantees
-/// `model` is a validated shared-delivery model.
+/// `model` is a validated shared-delivery model; `Independent` noise
+/// runs [`hierarchical_collapsed_over`] over [`ConsensusBits`] instead.
 pub(crate) fn hierarchical_collapsed<P: Protocol>(
     protocol: &P,
     config: &SimulatorConfig,
@@ -1201,6 +1433,7 @@ pub(crate) fn hierarchical_collapsed_over<P: Protocol, S: SharedBits>(
     let code_len = code.codeword_len();
     let r = config.repetitions;
     let v = config.verify_repetitions;
+    let rep_threshold = resolved.rep_ones as f64;
     let words = n.div_ceil(64);
     let window = config.verify_window.max(1);
 
@@ -1228,9 +1461,9 @@ pub(crate) fn hierarchical_collapsed_over<P: Protocol, S: SharedBits>(
         committed: scratch.committed_bits.len().min(t),
     };
     // The level-scaled vote threshold, float-for-float the scalar's.
-    let flagged_at = |ones: usize, vote_len: usize| {
+    let threshold_at = |vote_len: usize| {
         let per = resolved.verify_ones as f64 / v as f64;
-        ones as f64 >= (per * vote_len as f64).max(1.0)
+        (per * vote_len as f64).max(1.0)
     };
 
     'outer: loop {
@@ -1247,15 +1480,16 @@ pub(crate) fn hierarchical_collapsed_over<P: Protocol, S: SharedBits>(
             if budget - rounds < vote_len {
                 return Err(exhausted(scratch));
             }
-            let ones = source.ones(vote_len, false);
+            let flagged = source.vote(vote_len, false, threshold_at(vote_len));
             rounds += vote_len;
             phase_rounds.verify += vote_len;
             drop(final_span);
-            if !flagged_at(ones, vote_len) {
+            if !flagged {
                 break 'outer;
             }
+            // A flagged confirmation over no chunks keeps 0 of them.
             let mut lo = 0usize;
-            let mut hi = committed - 1;
+            let mut hi = committed.saturating_sub(1);
             let mut steps_left = steps_for(hi - lo);
             if steps_left == 0 || hi < lo {
                 if truncate_chunks(protocol, inputs, words, window, lo, scratch) {
@@ -1272,13 +1506,15 @@ pub(crate) fn hierarchical_collapsed_over<P: Protocol, S: SharedBits>(
                 if budget - rounds < vote_len {
                     return Err(exhausted(scratch));
                 }
-                let ones = source.ones(vote_len, or);
+                let flagged = source.vote(vote_len, or, threshold_at(vote_len));
                 rounds += vote_len;
                 energy += vote_len * flag_count;
                 phase_rounds.verify += vote_len;
                 drop(vote_span);
-                if flagged_at(ones, vote_len) {
-                    hi = boundary - 1;
+                if flagged {
+                    // A flagged boundary 0 (noise, with no chunk
+                    // committed) keeps 0 chunks.
+                    hi = boundary.saturating_sub(1);
                 } else {
                     lo = boundary;
                 }
@@ -1319,8 +1555,7 @@ pub(crate) fn hierarchical_collapsed_over<P: Protocol, S: SharedBits>(
                 }
             }
             let or = beeps > 0;
-            let ones = source.ones(r, or);
-            let bit = ones >= resolved.rep_ones;
+            let bit = source.vote(r, or, rep_threshold);
             scratch.bits.push(bit);
             scratch.working.push(bit);
             energy += r * beeps;
@@ -1348,13 +1583,8 @@ pub(crate) fn hierarchical_collapsed_over<P: Protocol, S: SharedBits>(
                 });
                 let symbol = claim.unwrap_or(next_symbol);
                 let codeword = code.encode_packed(symbol);
-                word.clear();
-                for idx in 0..code_len {
-                    let or = codeword.get(idx);
-                    energy += usize::from(or);
-                    word.push(source.bit(or));
-                }
-                let decoded = code.decode_packed(&word, metric);
+                energy += codeword.weight() as usize;
+                let decoded = source.symbol(&codeword, &*code, metric, &mut word);
                 if decoded == next_symbol {
                     turn += 1;
                 } else if decoded < len {
@@ -1362,7 +1592,7 @@ pub(crate) fn hierarchical_collapsed_over<P: Protocol, S: SharedBits>(
                     scratch.chunk_owners[decoded] = Some(turn);
                 }
             } else {
-                let _ = source.ones(code_len, false);
+                source.idle(code_len);
             }
             rounds += code_len;
             phase_rounds.owners += code_len;
@@ -1445,13 +1675,15 @@ pub(crate) fn hierarchical_collapsed_over<P: Protocol, S: SharedBits>(
                 if budget - rounds < vote_len {
                     return Err(exhausted(scratch));
                 }
-                let ones = source.ones(vote_len, or);
+                let flagged = source.vote(vote_len, or, threshold_at(vote_len));
                 rounds += vote_len;
                 energy += vote_len * flag_count;
                 phase_rounds.verify += vote_len;
                 drop(vote_span);
-                if flagged_at(ones, vote_len) {
-                    hi = boundary - 1;
+                if flagged {
+                    // A flagged boundary 0 (noise, with no chunk
+                    // committed) keeps 0 chunks.
+                    hi = boundary.saturating_sub(1);
                 } else {
                     lo = boundary;
                 }
@@ -1532,4 +1764,199 @@ fn rematerialize_window(
     }
     pool.push(viol);
     pool.push(running);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use beeps_channel::Delivery;
+    use beeps_ecc::{ConstantWeightCode, RandomCode};
+
+    /// One step of a backend script.
+    enum Step {
+        Vote {
+            span: usize,
+            or: bool,
+            threshold: f64,
+        },
+        Idle(usize),
+        Symbol(usize),
+    }
+
+    /// Per-party heard bits of `ors.len()` scalar rounds.
+    fn heard(channel: &mut StochasticChannel, ors: &[bool]) -> Vec<Vec<bool>> {
+        let n = channel.num_parties();
+        let mut rows = vec![Vec::new(); n];
+        for &or in ors {
+            let delivery: Delivery = channel.transmit(or);
+            for (i, row) in rows.iter_mut().enumerate() {
+                row.push(delivery.heard_by(i));
+            }
+        }
+        rows
+    }
+
+    /// The backend against `StochasticChannel::transmit`, party by
+    /// party: each step returns the consensus, diverges exactly when
+    /// some party's own decode differs from it, and counts the same
+    /// corrupted rounds — spans crossing the 64-round block boundary
+    /// included.
+    #[test]
+    fn consensus_backend_matches_per_party_decodes() {
+        let random: Box<dyn SymbolCode> = Box::new(RandomCode::with_length(9, 62, 5));
+        let weighted: Box<dyn SymbolCode> = Box::new(ConstantWeightCode::new(9, 70, 20, 5));
+        let script = [
+            Step::Vote {
+                span: 9,
+                or: true,
+                threshold: 5.0,
+            },
+            Step::Symbol(3),
+            Step::Idle(70),
+            Step::Vote {
+                span: 7,
+                or: false,
+                threshold: 4.0,
+            },
+            Step::Symbol(8),
+            Step::Vote {
+                span: 1,
+                or: true,
+                threshold: 1.0,
+            },
+            Step::Vote {
+                span: 130,
+                or: true,
+                threshold: 2.0,
+            },
+            Step::Symbol(0),
+        ];
+        let mut diverged_runs = 0;
+        let mut clean_runs = 0;
+        for code in [&random, &weighted] {
+            for n in [1usize, 5, 65] {
+                for seed in 0..40u64 {
+                    let model = NoiseModel::Independent { epsilon: 0.02 };
+                    let mut bits = ConsensusBits::new(n, model, seed);
+                    let mut channel = StochasticChannel::new(n, model, seed);
+                    let mut word = PackedBits::new();
+                    for step in &script {
+                        let (got, want, disagree) = match *step {
+                            Step::Vote {
+                                span,
+                                or,
+                                threshold,
+                            } => {
+                                let rows = heard(&mut channel, &vec![or; span]);
+                                let decide = |ones: usize| ones as f64 >= threshold;
+                                let want = decide(if or { span } else { 0 });
+                                let disagree = rows
+                                    .iter()
+                                    .any(|row| decide(row.iter().filter(|&&b| b).count()) != want);
+                                let got = bits.vote(span, or, threshold);
+                                (usize::from(got), usize::from(want), disagree)
+                            }
+                            Step::Idle(span) => {
+                                let _ = heard(&mut channel, &vec![false; span]);
+                                bits.idle(span);
+                                (0, 0, false)
+                            }
+                            Step::Symbol(symbol) => {
+                                let codeword = code.encode_packed(symbol);
+                                let rows = heard(&mut channel, &codeword.to_bools());
+                                let metric = BitMetric::Hamming;
+                                let want = code.decode_packed(&codeword, metric);
+                                let disagree = rows.iter().any(|row| {
+                                    code.decode_packed(&PackedBits::from_bools(row), metric) != want
+                                });
+                                let got = bits.symbol(&codeword, &**code, metric, &mut word);
+                                (got, want, disagree)
+                            }
+                        };
+                        assert_eq!(got, want, "n={n} seed {seed}: not the consensus");
+                        assert_eq!(bits.diverged(), disagree, "n={n} seed {seed}");
+                        if disagree {
+                            break;
+                        }
+                        assert_eq!(bits.corrupted(), channel.corrupted_rounds());
+                    }
+                    if bits.diverged() {
+                        diverged_runs += 1;
+                    } else {
+                        clean_runs += 1;
+                    }
+                }
+            }
+        }
+        assert!(diverged_runs > 0 && clean_runs > 0, "weak script");
+    }
+
+    /// Delivers every round noiselessly but flags every vote of at
+    /// least `check_span` rounds — the progress checks, when chunk
+    /// votes are shorter.
+    struct FlagChecks {
+        check_span: usize,
+    }
+
+    impl SharedBits for FlagChecks {
+        fn bit(&mut self, or: bool) -> bool {
+            or
+        }
+
+        fn ones(&mut self, span: usize, or: bool) -> usize {
+            if or {
+                span
+            } else {
+                0
+            }
+        }
+
+        fn corrupted(&self) -> usize {
+            0
+        }
+
+        fn vote(&mut self, span: usize, or: bool, threshold: f64) -> bool {
+            span >= self.check_span || self.ones(span, or) as f64 >= threshold
+        }
+    }
+
+    /// Flagged level-0 checks truncate every chunk, so iteration 2's
+    /// level-1 check runs over 0 committed chunks and its boundary-0
+    /// vote is flagged: the search keeps 0 chunks (it used to compute
+    /// `boundary - 1` and underflow) and the run exhausts its budget.
+    #[test]
+    fn hierarchical_flagged_boundary_zero_keeps_zero_chunks() {
+        let protocol = beeps_protocols::InputSet::new(4);
+        let model = NoiseModel::Independent { epsilon: 0.1 };
+        let mut config = SimulatorConfig::builder(4).model(model).build();
+        config.repetitions = 3;
+        config.verify_repetitions = 5;
+        let source = FlagChecks { check_span: 5 };
+        let mut scratch = SoaScratch::default();
+        let result = hierarchical_collapsed_over(
+            &protocol,
+            &config,
+            &[1, 6, 6, 3],
+            model,
+            source,
+            &mut scratch,
+        );
+        assert!(
+            matches!(result, Err(SimError::BudgetExhausted { committed: 0, .. })),
+            "{result:?}"
+        );
+    }
+
+    /// `ones` reports the count every party heard, so any flip in its
+    /// span diverges the run.
+    #[test]
+    fn consensus_ones_diverges_on_any_flip() {
+        let model = NoiseModel::Independent { epsilon: 0.3 };
+        let mut bits = ConsensusBits::new(8, model, 1);
+        assert_eq!(bits.ones(40, true), 40);
+        assert!(bits.diverged());
+        let mut quiet = ConsensusBits::new(8, NoiseModel::Independent { epsilon: 0.0 }, 1);
+        assert_eq!(quiet.ones(40, false), 0);
+        assert!(!quiet.diverged());
+    }
 }

@@ -9,13 +9,16 @@
 //! boolean semantics, some scheme's transcript would diverge here.
 
 use beeps_channel::{
-    run_protocol, run_protocol_over, BitVec, Channel, Delivery, NoiseModel, StochasticChannel,
+    run_protocol, run_protocol_over, BitVec, Channel, Delivery, IndependentLaneChannel, NoiseModel,
+    StochasticChannel,
 };
 use beeps_core::{
     HierarchicalSimulator, OneToZeroSimulator, OwnedRoundsSimulator, RepetitionSimulator,
-    RewindSimulator, SimulatorConfig,
+    RewindSimulator, SimError, SimOutcome, SimulatorConfig,
 };
-use beeps_protocols::{InputSet, RollCall};
+use beeps_ecc::BitMetric;
+use beeps_protocols::{InputSet, MultiOr, RollCall};
+use proptest::prelude::*;
 
 /// Delegates to a [`StochasticChannel`] but re-materialises every
 /// per-party delivery through `Vec<bool>`, so downstream code consumes a
@@ -726,5 +729,301 @@ fn one_to_zero_scheme_matches_roundtrip() {
             }
             (a, b) => assert_eq!(a.is_err(), b.is_err(), "error mismatch seed {seed}"),
         }
+    }
+}
+
+// --- Independent noise: the consensus engines against the scalar
+// specification. `simulate` runs the collapsed body over the consensus
+// backend and replays on the scalar engine when a party would have
+// decoded differently; either way its result must be bitwise
+// `simulate_over` on a fresh `StochasticChannel` with the same seed.
+
+/// Deterministic per-seed inputs in `0..domain` for `n` parties.
+fn seeded_inputs(n: usize, domain: usize, seed: u64) -> Vec<usize> {
+    let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    (0..n)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % domain as u64) as usize
+        })
+        .collect()
+}
+
+/// Counts `sim.<scheme>.replay` marks fired on this thread.
+#[derive(Default)]
+struct ReplayCounter {
+    replays: std::sync::atomic::AtomicUsize,
+}
+
+impl beeps_observe::Observer for ReplayCounter {
+    fn on_mark(&self, _worker: usize, name: &'static str, _at: u64) {
+        if name.ends_with(".replay") {
+            self.replays
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+}
+
+/// Runs `run` with a [`ReplayCounter`] installed on this thread and
+/// returns how many trials replayed.
+fn count_replays(run: impl FnOnce()) -> usize {
+    let counter = std::sync::Arc::new(ReplayCounter::default());
+    {
+        let _guard = beeps_observe::install(
+            std::sync::Arc::clone(&counter) as std::sync::Arc<dyn beeps_observe::Observer>,
+            0,
+        );
+        run();
+    }
+    counter.replays.load(std::sync::atomic::Ordering::SeqCst)
+}
+
+/// Asserts one consensus trial equals its scalar replay; returns
+/// whether it ended in an error (`BudgetExhausted`).
+fn same_result<O: PartialEq + std::fmt::Debug>(
+    label: &str,
+    fast: Result<SimOutcome<O>, SimError>,
+    slow: Result<SimOutcome<O>, SimError>,
+) -> bool {
+    assert_eq!(fast, slow, "{label}");
+    fast.is_err()
+}
+
+/// The three consensus cells under one config: rewind and hierarchical
+/// on `MultiOr(n, 5)` (each party beeps a round with probability about
+/// `1/n`, so both ORs occur), owned rounds on `RollCall(n)`, each
+/// compared with `simulate_over` on a fresh channel for every seed.
+/// Returns the number of replayed and of budget-exhausted trials.
+fn consensus_cells_match_scalar(
+    n: usize,
+    model: NoiseModel,
+    config: &SimulatorConfig,
+    seeds: std::ops::Range<u64>,
+) -> (usize, usize) {
+    let rounds = 5;
+    let multi = MultiOr::new(n, rounds);
+    let roll = RollCall::new(n);
+    let rewind = RewindSimulator::new(&multi, config.clone());
+    let hier = HierarchicalSimulator::new(&multi, config.clone());
+    let owned = OwnedRoundsSimulator::new(&roll, config.clone());
+    let mut exhausted = 0usize;
+    let replays = count_replays(|| {
+        for seed in seeds {
+            let draws = seeded_inputs(n * rounds, 2 * n, seed);
+            let inputs: Vec<Vec<bool>> = draws
+                .chunks(rounds)
+                .map(|party| party.iter().map(|&x| x < 2).collect())
+                .collect();
+            let roll_inputs: Vec<bool> = draws.iter().take(n).map(|&x| x % 2 == 0).collect();
+            let fresh = || StochasticChannel::new(n, model, seed);
+            let label = |scheme: &str| format!("{scheme} n={n} {model} seed {seed}");
+            let errs = [
+                same_result(
+                    &label("rewind"),
+                    rewind.simulate(&inputs, model, seed),
+                    rewind.simulate_over(&inputs, model, &mut fresh()),
+                ),
+                same_result(
+                    &label("hierarchical"),
+                    hier.simulate(&inputs, model, seed),
+                    hier.simulate_over(&inputs, model, &mut fresh()),
+                ),
+                same_result(
+                    &label("owned_rounds"),
+                    owned.simulate(&roll_inputs, model, seed),
+                    owned.simulate_over(&roll_inputs, model, &mut fresh()),
+                ),
+            ];
+            exhausted += errs.iter().filter(|&&e| e).count();
+        }
+    });
+    (replays, exhausted)
+}
+
+/// A compact config for the sweeps: short chunks, votes and codewords
+/// keep the scalar replays affordable at `n = 65` while every phase,
+/// tail chunks and rewinds included, still runs.
+fn compact_config(n: usize, model: NoiseModel) -> SimulatorConfig {
+    let mut config = SimulatorConfig::builder(n).model(model).build();
+    config.chunk_len = 4;
+    config.repetitions = 9;
+    config.verify_repetitions = 9;
+    config.code_len = 12;
+    config.budget_factor = 1.2;
+    config
+}
+
+/// One cell of the sweep: 256 seeds of all three schemes.
+fn sweep(n: usize, epsilon: f64) {
+    let model = NoiseModel::Independent { epsilon };
+    consensus_cells_match_scalar(n, model, &compact_config(n, model), 0..256);
+}
+
+// The sweep: every party count the packed paths special-case (one
+// party, two, one word, one bit past a word) at a light, the
+// benchmark's, and a heavy noise rate.
+#[test]
+fn consensus_engines_match_scalar_up_to_one_word_of_parties() {
+    for n in [1, 2, 32] {
+        for epsilon in [0.01, 0.1, 0.25] {
+            sweep(n, epsilon);
+        }
+    }
+}
+
+#[test]
+fn consensus_engines_match_scalar_past_a_word_at_light_noise() {
+    sweep(65, 0.01);
+}
+
+#[test]
+fn consensus_engines_match_scalar_past_a_word_at_benchmark_noise() {
+    sweep(65, 0.1);
+}
+
+#[test]
+fn consensus_engines_match_scalar_past_a_word_at_heavy_noise() {
+    sweep(65, 0.25);
+}
+
+/// The benchmark's cell: the default config at `n = 32`, `ε = 0.1`.
+#[test]
+fn consensus_engines_match_scalar_at_the_default_config() {
+    let n = 32;
+    let model = NoiseModel::Independent { epsilon: 0.1 };
+    let config = SimulatorConfig::builder(n).model(model).build();
+    consensus_cells_match_scalar(n, model, &config, 0..16);
+}
+
+/// A starved budget: `BudgetExhausted { rounds_used, committed }` must
+/// come out of the consensus engine exactly as out of the scalar one.
+#[test]
+fn consensus_engines_match_scalar_when_budget_starved() {
+    let n = 8;
+    let model = NoiseModel::Independent { epsilon: 0.05 };
+    let mut config = compact_config(n, model);
+    config.budget_factor = 1.0;
+    let (_, exhausted) = consensus_cells_match_scalar(n, model, &config, 0..256);
+    assert!(exhausted > 0, "starved budget never exhausted: weak test");
+}
+
+/// Single-round votes at `ε = 0.3` over 32 parties: some party misreads
+/// the first chunk round in every trial, so every trial replays — and
+/// still equals the scalar run.
+#[test]
+fn consensus_engines_replay_every_trial_when_divergence_is_certain() {
+    let n = 32;
+    let model = NoiseModel::Independent { epsilon: 0.3 };
+    let mut config = compact_config(n, model);
+    config.repetitions = 1;
+    config.verify_repetitions = 1;
+    let trials = 32;
+    let (replays, _) = consensus_cells_match_scalar(n, model, &config, 0..trials);
+    assert_eq!(
+        replays,
+        3 * trials as usize,
+        "every trial of every scheme replays"
+    );
+}
+
+/// A constant-weight code knows no decoding radius, so the backend
+/// decodes every flipped party's word.
+#[test]
+fn consensus_engines_match_scalar_with_a_constant_weight_code() {
+    let n = 32;
+    let model = NoiseModel::Independent { epsilon: 0.05 };
+    let mut config = compact_config(n, model);
+    config.code_weight = Some(4);
+    let trials = 256;
+    let (replays, _) = consensus_cells_match_scalar(n, model, &config, 0..trials);
+    assert!(
+        0 < replays && replays < 3 * trials as usize,
+        "{replays} replays: both paths must run"
+    );
+}
+
+/// The reproducer of the hierarchical `boundary - 1` underflow: noise
+/// flagged a check vote at boundary 0 with no chunk committed. Both
+/// entry points now keep 0 chunks there, agree, and do not panic.
+#[test]
+fn hierarchical_flagged_boundary_zero_keeps_zero_chunks() {
+    let p = InputSet::new(32);
+    let model = NoiseModel::Independent { epsilon: 0.1 };
+    let config = SimulatorConfig::builder(32).model(model).build();
+    let sim = HierarchicalSimulator::new(&p, config);
+    let seed = 0x5165_43be_1bc4_b66a;
+    let inputs = [
+        30, 3, 62, 26, 48, 17, 34, 41, 56, 60, 14, 33, 0, 48, 17, 62, 39, 62, 49, 38, 63, 43, 37,
+        54, 16, 9, 28, 53, 6, 30, 43, 8,
+    ];
+    let fast = sim.simulate(&inputs, model, seed);
+    let slow = sim.simulate_over(&inputs, model, &mut StochasticChannel::new(32, model, seed));
+    assert_eq!(fast, slow);
+}
+
+/// The span API the consensus backend draws through reproduces
+/// `StochasticChannel::transmit` flip for flip — spans crossing the
+/// 64-round mask-block boundary and the corrupted-round count included.
+#[test]
+fn span_flips_match_scalar_transmit_round_for_round() {
+    let model = NoiseModel::Independent { epsilon: 0.1 };
+    for n in [1usize, 32, 65] {
+        for seed in 0..8u64 {
+            let mut lanes = IndependentLaneChannel::new(n, model, &[seed]).expect("independent");
+            let mut scalar = StochasticChannel::new(n, model, seed);
+            for span in [5u64, 62, 1, 130, 64, 63, 2] {
+                let (counts, events) = lanes.span_flip_events(0, span);
+                let mut want_events = Vec::new();
+                let mut want_counts = vec![0u32; n];
+                for round in 0..span {
+                    let or = round % 3 == 0;
+                    let delivery = scalar.transmit(or);
+                    for (p, count) in want_counts.iter_mut().enumerate() {
+                        if delivery.heard_by(p) != or {
+                            want_events.push((round as u32, p as u32));
+                            *count += 1;
+                        }
+                    }
+                }
+                assert_eq!(events, &want_events[..], "n={n} seed {seed} span {span}");
+                let want_counts: Vec<(u32, u32)> = (0..n as u32)
+                    .zip(want_counts)
+                    .filter(|&(_, f)| f > 0)
+                    .collect();
+                assert_eq!(counts, &want_counts[..], "n={n} seed {seed} span {span}");
+                assert_eq!(lanes.corrupted(0), scalar.corrupted_rounds() as u64);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every error of weight at most the decoding radius (below
+    /// `d_min / 2`) decodes to the sent symbol — the fact that lets the
+    /// consensus backend skip those parties' decodes.
+    #[test]
+    fn errors_within_the_radius_decode_to_the_sent_symbol(
+        n in 1usize..70,
+        symbol_seed in 0usize..1_000,
+        positions in proptest::collection::vec(0usize..10_000, 0..12),
+    ) {
+        let config = SimulatorConfig::builder(n)
+            .model(NoiseModel::Independent { epsilon: 0.1 })
+            .build();
+        let code = config.build_code();
+        let radius = code.unique_decoding_radius().expect("random codes know their radius");
+        let symbol = symbol_seed % code.alphabet_size();
+        let mut word = code.encode_packed(symbol);
+        let mut flipped = std::collections::BTreeSet::new();
+        for &p in &positions {
+            if flipped.len() < radius as usize && flipped.insert(p % word.len()) {
+                word.flip(p % word.len());
+            }
+        }
+        prop_assert_eq!(code.decode_packed(&word, BitMetric::Hamming), symbol);
     }
 }

@@ -73,6 +73,16 @@ impl PackedBits {
         (self.limbs[i / 64] >> (i % 64)) & 1 == 1
     }
 
+    /// Inverts the bit at position `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    pub fn flip(&mut self, i: usize) {
+        assert!(i < self.len, "bit index {i} out of range {}", self.len);
+        self.limbs[i / 64] ^= 1u64 << (i % 64);
+    }
+
     /// Length in bits.
     pub fn len(&self) -> usize {
         self.len

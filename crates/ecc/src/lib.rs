@@ -118,4 +118,16 @@ pub trait SymbolCode: std::fmt::Debug {
     fn decode_packed(&self, received: &bits::PackedBits, metric: BitMetric) -> usize {
         self.decode(&received.to_bools(), metric)
     }
+
+    /// The largest `t` such that every word within Hamming distance `t`
+    /// of a codeword [`decode_packed`](SymbolCode::decode_packed)s to
+    /// that codeword's symbol under [`BitMetric::Hamming`], or `None`
+    /// when the code does not know it (the default).
+    ///
+    /// A caller may skip decoding a word it knows to be at most this
+    /// far from the codeword it was sent as; codes without a radius
+    /// must be decoded every time.
+    fn unique_decoding_radius(&self) -> Option<u32> {
+        None
+    }
 }

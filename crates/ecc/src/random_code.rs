@@ -31,6 +31,9 @@ pub struct RandomCode {
     q: usize,
     len: usize,
     codewords: Vec<PackedBits>,
+    /// [`RandomCode::min_distance`], computed on first use and kept
+    /// with the table (so a cached code computes it once).
+    min_distance: std::sync::OnceLock<u32>,
 }
 
 impl RandomCode {
@@ -89,19 +92,22 @@ impl RandomCode {
             q: alphabet_size,
             len,
             codewords,
+            min_distance: std::sync::OnceLock::new(),
         }
     }
 
-    /// Minimum pairwise Hamming distance of the code (O(q²) scan; intended
-    /// for tests and experiment reporting, not hot paths).
+    /// Minimum pairwise Hamming distance of the code: an O(q²) scan on
+    /// the first call, memoized after it.
     pub fn min_distance(&self) -> u32 {
-        let mut best = u32::MAX;
-        for i in 0..self.q {
-            for j in (i + 1)..self.q {
-                best = best.min(self.codewords[i].hamming(&self.codewords[j]));
+        *self.min_distance.get_or_init(|| {
+            let mut best = u32::MAX;
+            for i in 0..self.q {
+                for j in (i + 1)..self.q {
+                    best = best.min(self.codewords[i].hamming(&self.codewords[j]));
+                }
             }
-        }
-        best
+            best
+        })
     }
 }
 
@@ -144,6 +150,14 @@ impl SymbolCode for RandomCode {
             }
         }
         best
+    }
+
+    /// `⌊(d_min − 1) / 2⌋`. Exact for this decoder: a word `t` flips
+    /// from codeword `c` is at least `d_min − t > t` flips from every
+    /// other codeword, so `c` is the unique Hamming minimum and the
+    /// first-strict-minimum scan returns it.
+    fn unique_decoding_radius(&self) -> Option<u32> {
+        Some(self.min_distance().saturating_sub(1) / 2)
     }
 }
 

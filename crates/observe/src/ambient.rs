@@ -63,12 +63,21 @@ impl Drop for InstallGuard {
     }
 }
 
-/// Whether any thread currently has an observer installed. The inverse
-/// is the fast-path guarantee: when false, [`phase`] and [`mark`] cost
-/// one relaxed atomic load.
+/// Whether any thread currently has an observer installed: a
+/// process-wide fast-path hint, not a property of the calling thread.
+/// When false, [`phase`] and [`mark`] cost one relaxed atomic load;
+/// when true, another thread's observer may be the reason, so code that
+/// means "observed here" must ask [`installed_here`].
 #[must_use]
 pub fn is_active() -> bool {
     ACTIVE.load(Ordering::Relaxed) != 0
+}
+
+/// Whether *this* thread has an ambient observer installed — the
+/// question [`phase`] and [`mark`] answer before reporting anything.
+#[must_use]
+pub fn installed_here() -> bool {
+    CURRENT.with(|c| c.borrow().is_some())
 }
 
 fn with_current<R>(f: impl FnOnce(&Installed) -> R) -> Option<R> {
@@ -156,6 +165,7 @@ mod tests {
         {
             let _guard = install(Arc::clone(&obs) as Arc<dyn Observer>, 3);
             assert!(is_active());
+            assert!(installed_here());
             let span = phase("work");
             mark("tick");
             drop(span);
@@ -189,6 +199,8 @@ mod tests {
             scope.spawn(|| {
                 // The other thread sees the process-wide ACTIVE count,
                 // but has no thread-local observer: marks go nowhere.
+                assert!(is_active());
+                assert!(!installed_here());
                 mark("other-thread");
             });
         });

@@ -49,7 +49,9 @@ pub mod profile;
 pub mod progress;
 pub mod runlog;
 
-pub use ambient::{install, is_active, mark, phase, InstallGuard, PhaseSpan, MAIN_WORKER};
+pub use ambient::{
+    install, installed_here, is_active, mark, phase, InstallGuard, PhaseSpan, MAIN_WORKER,
+};
 pub use observer::{MultiObserver, NoopObserver, Observer, RunInfo};
 pub use profile::PhaseProfiler;
 pub use progress::{ProgressReporter, ProgressSnapshot, ProgressTracker};

@@ -77,6 +77,9 @@ REQUIRED_SOA=(
   party.soa.scalar.n1e4
   channel.dense.transmit.n1e4
   scheme.repetition.n64
+  scheme.rewind.independent
+  scheme.hierarchical.independent
+  scheme.owned_rounds.independent
 )
 STATUS=0
 for key in "${REQUIRED_LANES[@]}"; do
