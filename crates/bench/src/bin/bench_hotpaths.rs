@@ -25,7 +25,11 @@
 //! * the cross-trial layer: skewed Monte Carlo fan-out through the
 //!   [`TrialRunner`] scratch arenas (`runner.skewed`), the shared
 //!   owners-code table cache (`code_cache`), and the packed
-//!   encode/decode symbol roundtrip (`decode_packed`).
+//!   encode/decode symbol roundtrip (`decode_packed`);
+//! * the substrate crates on their own: RS[255,223] encode and
+//!   16-error decode, Hadamard-256 and concatenated-code decode
+//!   (`ecc.*`), and the exact ζ analysis at n = 32 and the exact
+//!   crossover search at n = 256 (`lowerbound.*`).
 //!
 //! Results are written as JSON (default `BENCH_hotpaths.json` in the
 //! current directory). Pass `--baseline <file>` — a JSON previously
@@ -54,14 +58,17 @@ use std::path::PathBuf;
 
 use beeps_bench::{Json, Observation, TrialRunner};
 use beeps_channel::{
-    Channel, Executor, IndependentLaneChannel, LaneChannel, LaneExecutor, LaneParty, NoiseModel,
-    Party, StochasticChannel, LANES,
+    run_protocol, Channel, Executor, IndependentLaneChannel, LaneChannel, LaneExecutor, LaneParty,
+    NoiseModel, Party, StochasticChannel, LANES,
 };
 use beeps_core::{
     CodeCache, HierarchicalSimulator, OneToZeroSimulator, OwnedRoundsSimulator,
     RepetitionSimulator, RewindSimulator, SimulatorConfig, SoaScratch,
 };
-use beeps_ecc::{BitMetric, RandomCode, SymbolCode};
+use beeps_ecc::{
+    BitMetric, ConcatenatedCode, GfField, Hadamard, RandomCode, ReedSolomon, SymbolCode,
+};
+use beeps_lowerbound::{min_repetitions_exact, ZetaAnalyzer};
 use beeps_metrics::{MetricsRegistry, Stopwatch};
 use beeps_protocols::{Broadcast, InputSet, RollCall};
 
@@ -835,6 +842,81 @@ fn crosstrial_benches(suite: &mut Suite) {
     });
 }
 
+fn substrate_benches(suite: &mut Suite) {
+    // --- ecc.*: the standalone codes of the ECC crate, on fixed words.
+    // RS[255,223] over GF(2^8) encodes a 223-symbol message and decodes
+    // a word with 16 symbol errors (its full correction radius); the
+    // Hadamard and concatenated rows decode a clean codeword, so every
+    // decode runs the whole search.
+    let encodes = (suite.args.rounds / 200).max(4);
+    let decodes = (suite.args.rounds / 2_000).max(2);
+    let rs = ReedSolomon::new(GfField::new(8), 255, 223);
+    let msg: Vec<u16> = (0..223).map(|i| (i * 7 % 256) as u16).collect();
+    let mut noisy = rs.encode(&msg);
+    for i in 0..16 {
+        noisy[i * 15] ^= 0x55;
+    }
+    suite.bench("ecc.rs_255_223.encode", || {
+        for _ in 0..encodes {
+            std::hint::black_box(rs.encode(std::hint::black_box(&msg)));
+        }
+        encodes
+    });
+    suite.bench("ecc.rs_255_223.decode_16_errors", || {
+        for _ in 0..decodes {
+            let decoded = rs.decode(std::hint::black_box(&noisy));
+            std::hint::black_box(decoded.expect("16 errors are within the radius"));
+        }
+        decodes
+    });
+    let hadamard = Hadamard::new(8);
+    let hadamard_word = hadamard.encode(100);
+    suite.bench("ecc.hadamard_256.decode", || {
+        for _ in 0..encodes {
+            let word = std::hint::black_box(&hadamard_word);
+            std::hint::black_box(hadamard.decode(word, BitMetric::Hamming));
+        }
+        encodes
+    });
+    let concat = ConcatenatedCode::for_alphabet(513, 4);
+    let concat_word = concat.encode(300);
+    suite.bench("ecc.concat.decode", || {
+        for _ in 0..decodes {
+            let word = std::hint::black_box(&concat_word);
+            std::hint::black_box(concat.decode(word, BitMetric::Hamming));
+        }
+        decodes
+    });
+
+    // --- lowerbound.*: the exact ζ analysis of one noisy InputSet(32)
+    // transcript (the core of experiments E5/E7) and the exact
+    // crossover search at n = 256 (experiment E2).
+    let n = 32usize;
+    let eps = 1.0 / 3.0;
+    let protocol = InputSet::new(n);
+    let inputs: Vec<usize> = (0..n).map(|i| (3 * i) % (2 * n)).collect();
+    let exec = run_protocol(
+        &protocol,
+        &inputs,
+        NoiseModel::OneSidedZeroToOne { epsilon: eps },
+        42,
+    );
+    let pi = exec.views().shared().expect("shared delivery").to_vec();
+    let analyzer = ZetaAnalyzer::new(&protocol, eps);
+    suite.bench("lowerbound.zeta.n32", || {
+        for _ in 0..decodes {
+            std::hint::black_box(analyzer.analyze(&inputs, std::hint::black_box(&pi)));
+        }
+        decodes
+    });
+    suite.bench("lowerbound.min_repetitions_exact.n256", || {
+        for _ in 0..encodes {
+            std::hint::black_box(min_repetitions_exact(std::hint::black_box(256), eps, 0.9));
+        }
+        encodes
+    });
+}
+
 /// Pulls `"<name>":{"ns_per_op":<float>` values back out of a JSON file
 /// previously written by this harness. A full JSON parser would be
 /// overkill for a format we emit ourselves.
@@ -900,6 +982,7 @@ pub fn main() {
     scheme_benches(&mut suite);
     soa_benches(&mut suite);
     crosstrial_benches(&mut suite);
+    substrate_benches(&mut suite);
 
     drop(ambient);
     observation.finish(None);

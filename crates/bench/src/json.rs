@@ -1,8 +1,8 @@
 //! Hand-rolled JSON emission for experiment logs.
 //!
 //! The workspace deliberately keeps its dependency set to
-//! `rand`/`proptest`/`criterion`, so experiment results are serialised
-//! by this small emitter instead of `serde`. Output is fully
+//! `rand`/`proptest`, so experiment results are serialised by this
+//! small emitter instead of `serde`. Output is fully
 //! deterministic: object keys keep insertion order, floats render via
 //! Rust's shortest-round-trip `Display`, and nothing environmental
 //! (thread count, timestamps, hostnames) is ever written — the same

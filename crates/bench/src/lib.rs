@@ -1,6 +1,7 @@
 //! Shared helpers for the experiment binaries (`src/bin/fig*_*.rs`,
 //! `src/bin/tab*_*.rs`) that regenerate every experiment in
-//! `EXPERIMENTS.md`, and for the Criterion micro-benchmarks in `benches/`.
+//! `EXPERIMENTS.md`, and for the gated hot-path benchmark harness
+//! (`src/bin/bench_hotpaths.rs`).
 //!
 //! The experiment engine lives in [`runner`] (seed-deterministic
 //! parallel trial execution), [`json`] (dependency-free experiment

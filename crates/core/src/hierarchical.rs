@@ -142,12 +142,14 @@ impl<'a, P: Protocol> HierarchicalSimulator<'a, P> {
         // Independent noise: the collapsed body over the consensus
         // backend, replayed on the scalar engine if any party would have
         // decoded differently (see `ConsensusBits`).
+        let code = self.config.build_code();
         let consensus = crate::soa::consensus(n, model, seed, |bits| {
             crate::soa::hierarchical_collapsed_over(
                 self.protocol,
                 &self.config,
                 inputs,
                 model,
+                &*code,
                 bits,
                 scratch,
             )
@@ -161,9 +163,11 @@ impl<'a, P: Protocol> HierarchicalSimulator<'a, P> {
     }
 
     /// Runs one trial per seed, lane-sliced: up to 64 trials share each
-    /// channel word, every result bitwise identical to
-    /// [`HierarchicalSimulator::simulate`] with that seed (same
-    /// transcripts, statistics, and `BudgetExhausted` errors).
+    /// channel word, each lane running the same collapsed body as
+    /// [`HierarchicalSimulator::simulate`] (see [`crate::lanes`]), so
+    /// every result is bitwise identical to `simulate` with that seed
+    /// (same transcripts, statistics, and `BudgetExhausted` errors).
+    /// The owners code is built once per batch.
     ///
     /// Independent noise (and invalid ε) loops over
     /// [`HierarchicalSimulator::simulate`] per seed, where each trial
@@ -181,18 +185,24 @@ impl<'a, P: Protocol> HierarchicalSimulator<'a, P> {
         model: NoiseModel,
         seeds: &[u64],
     ) -> Vec<Result<SimOutcome<P::Output>, SimError>> {
-        if model.validate().is_err() || !model.is_shared() {
-            return seeds
+        let code = self.config.build_code();
+        crate::lanes::collapsed_lanes(model, seeds, |bits, scratch| {
+            crate::soa::hierarchical_collapsed_over(
+                self.protocol,
+                &self.config,
+                inputs,
+                model,
+                &*code,
+                bits,
+                scratch,
+            )
+        })
+        .unwrap_or_else(|| {
+            seeds
                 .iter()
                 .map(|&seed| self.simulate(inputs, model, seed))
-                .collect();
-        }
-        seeds
-            .chunks(beeps_channel::LANES)
-            .flat_map(|group| {
-                crate::lanes::hierarchical_lanes(self.protocol, &self.config, inputs, model, group)
-            })
-            .collect()
+                .collect()
+        })
     }
 
     /// Runs over a caller-supplied channel (failure injection, reduction

@@ -145,8 +145,9 @@ impl<'a, P: Protocol> OneToZeroSimulator<'a, P> {
     }
 
     /// Runs one trial per seed, lane-sliced: up to 64 trials share each
-    /// channel word, every result bitwise identical to
-    /// [`OneToZeroSimulator::simulate`] with that seed (same
+    /// channel word, each lane running the same collapsed body as
+    /// [`OneToZeroSimulator::simulate`] (see [`crate::lanes`]), so every
+    /// result is bitwise identical to `simulate` with that seed (same
     /// transcripts, statistics, and `BudgetExhausted` errors).
     ///
     /// Models the scheme rejects (and invalid ε) fall back to the
@@ -165,25 +166,26 @@ impl<'a, P: Protocol> OneToZeroSimulator<'a, P> {
             model,
             NoiseModel::OneSidedOneToZero { .. } | NoiseModel::Noiseless
         );
-        if model.validate().is_err() || !supported {
-            return seeds
-                .iter()
-                .map(|&seed| self.simulate(inputs, model, seed))
-                .collect();
-        }
-        seeds
-            .chunks(beeps_channel::LANES)
-            .flat_map(|group| {
-                crate::lanes::one_to_zero_lanes(
-                    self.protocol,
-                    self.base,
-                    self.budget_factor,
-                    inputs,
-                    model,
-                    group,
-                )
+        supported
+            .then(|| {
+                crate::lanes::collapsed_lanes(model, seeds, |bits, scratch| {
+                    crate::soa::one_to_zero_collapsed_over(
+                        self.protocol,
+                        self.base,
+                        self.budget_factor,
+                        inputs,
+                        bits,
+                        scratch,
+                    )
+                })
             })
-            .collect()
+            .flatten()
+            .unwrap_or_else(|| {
+                seeds
+                    .iter()
+                    .map(|&seed| self.simulate(inputs, model, seed))
+                    .collect()
+            })
     }
 
     /// Runs over a caller-supplied channel (failure injection). The

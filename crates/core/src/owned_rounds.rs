@@ -146,8 +146,9 @@ impl<'a, P: UniquelyOwned> OwnedRoundsSimulator<'a, P> {
     }
 
     /// Runs one trial per seed, lane-sliced: up to 64 trials share each
-    /// channel word, every result bitwise identical to
-    /// [`OwnedRoundsSimulator::simulate`] with that seed.
+    /// channel word, each lane running the same collapsed body as
+    /// [`OwnedRoundsSimulator::simulate`] (see [`crate::lanes`]), so
+    /// every result is bitwise identical to `simulate` with that seed.
     ///
     /// Independent noise (and invalid ε) loops over
     /// [`OwnedRoundsSimulator::simulate`] per seed, where each trial
@@ -165,18 +166,22 @@ impl<'a, P: UniquelyOwned> OwnedRoundsSimulator<'a, P> {
         model: NoiseModel,
         seeds: &[u64],
     ) -> Vec<Result<SimOutcome<P::Output>, SimError>> {
-        if model.validate().is_err() || !model.is_shared() {
-            return seeds
+        crate::lanes::collapsed_lanes(model, seeds, |bits, scratch| {
+            crate::soa::owned_rounds_collapsed_over(
+                self.protocol,
+                &self.config,
+                inputs,
+                model,
+                bits,
+                scratch,
+            )
+        })
+        .unwrap_or_else(|| {
+            seeds
                 .iter()
                 .map(|&seed| self.simulate(inputs, model, seed))
-                .collect();
-        }
-        seeds
-            .chunks(beeps_channel::LANES)
-            .flat_map(|group| {
-                crate::lanes::owned_rounds_lanes(self.protocol, &self.config, inputs, model, group)
-            })
-            .collect()
+                .collect()
+        })
     }
 
     /// Runs over a caller-supplied channel (failure injection, reduction

@@ -135,12 +135,14 @@ impl<'a, P: Protocol> RewindSimulator<'a, P> {
         // Independent noise: the collapsed body over the consensus
         // backend, replayed on the scalar engine if any party would have
         // decoded differently (see `ConsensusBits`).
+        let code = self.config.build_code();
         let consensus = crate::soa::consensus(n, model, seed, |bits| {
             crate::soa::rewind_collapsed_over(
                 self.protocol,
                 &self.config,
                 inputs,
                 model,
+                &*code,
                 bits,
                 scratch,
             )
@@ -155,9 +157,11 @@ impl<'a, P: Protocol> RewindSimulator<'a, P> {
 
     /// Runs one trial per seed, lane-sliced: up to 64 trials share each
     /// channel word, with per-lane noise drawn from each trial's own
-    /// seed stream so every result — transcript, statistics, and
-    /// `BudgetExhausted` errors alike — is bitwise identical to
-    /// [`RewindSimulator::simulate`] with that seed.
+    /// seed stream. Each lane runs the same collapsed body as
+    /// [`RewindSimulator::simulate`] (see [`crate::lanes`]), so every
+    /// result — transcript, statistics, and `BudgetExhausted` errors
+    /// alike — is bitwise identical to `simulate` with that seed. The
+    /// owners code is built once per batch.
     ///
     /// Independent noise (and invalid ε) loops over
     /// [`RewindSimulator::simulate`] per seed, where each trial
@@ -175,18 +179,24 @@ impl<'a, P: Protocol> RewindSimulator<'a, P> {
         model: NoiseModel,
         seeds: &[u64],
     ) -> Vec<Result<SimOutcome<P::Output>, SimError>> {
-        if model.validate().is_err() || matches!(model, NoiseModel::Independent { .. }) {
-            return seeds
+        let code = self.config.build_code();
+        crate::lanes::collapsed_lanes(model, seeds, |bits, scratch| {
+            crate::soa::rewind_collapsed_over(
+                self.protocol,
+                &self.config,
+                inputs,
+                model,
+                &*code,
+                bits,
+                scratch,
+            )
+        })
+        .unwrap_or_else(|| {
+            seeds
                 .iter()
                 .map(|&seed| self.simulate(inputs, model, seed))
-                .collect();
-        }
-        seeds
-            .chunks(beeps_channel::LANES)
-            .flat_map(|group| {
-                crate::lanes::rewind_lanes(self.protocol, &self.config, inputs, model, group)
-            })
-            .collect()
+                .collect()
+        })
     }
 
     /// Runs the simulation over a caller-supplied channel — the hook for

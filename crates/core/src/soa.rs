@@ -503,19 +503,22 @@ pub(crate) fn rewind_collapsed<P: Protocol>(
         config,
         inputs,
         model,
+        &*config.build_code(),
         ScalarBits::new(channel),
         scratch,
     )
 }
 
-/// [`rewind_collapsed`] generic over the channel backend — the body the
-/// lane engines in [`crate::lanes`] re-drive one lane at a time and the
-/// independent-noise consensus run drives over [`ConsensusBits`].
+/// [`rewind_collapsed`] generic over the channel backend — the body
+/// [`crate::lanes::collapsed_lanes`] runs one lane at a time and the
+/// independent-noise consensus run drives over [`ConsensusBits`]. `code` is `config.build_code()`, built by the
+/// caller so a batch builds it once, not once per trial.
 pub(crate) fn rewind_collapsed_over<P: Protocol, S: SharedBits>(
     protocol: &P,
     config: &SimulatorConfig,
     inputs: &[P::Input],
     model: NoiseModel,
+    code: &dyn SymbolCode,
     mut source: S,
     scratch: &mut SoaScratch,
 ) -> Result<SimOutcome<P::Output>, SimError> {
@@ -523,7 +526,6 @@ pub(crate) fn rewind_collapsed_over<P: Protocol, S: SharedBits>(
     assert_eq!(inputs.len(), n, "need one input per party");
     let t = protocol.length();
     let resolved = config.resolve(model);
-    let code = config.build_code();
     let metric = metric_for(model);
     let next_symbol = code.alphabet_size() - 1;
     let code_len = code.codeword_len();
@@ -624,7 +626,7 @@ pub(crate) fn rewind_collapsed_over<P: Protocol, S: SharedBits>(
                 let symbol = claim.unwrap_or(next_symbol);
                 let codeword = code.encode_packed(symbol);
                 energy += codeword.weight() as usize;
-                let decoded = source.symbol(&codeword, &*code, metric, &mut word);
+                let decoded = source.symbol(&codeword, code, metric, &mut word);
                 if decoded == next_symbol {
                     turn += 1;
                 } else if decoded < len {
@@ -1409,17 +1411,20 @@ pub(crate) fn hierarchical_collapsed<P: Protocol>(
         config,
         inputs,
         model,
+        &*config.build_code(),
         ScalarBits::new(channel),
         scratch,
     )
 }
 
-/// [`hierarchical_collapsed`] generic over the channel backend.
+/// [`hierarchical_collapsed`] generic over the channel backend, with
+/// the caller-built `code` of [`rewind_collapsed_over`].
 pub(crate) fn hierarchical_collapsed_over<P: Protocol, S: SharedBits>(
     protocol: &P,
     config: &SimulatorConfig,
     inputs: &[P::Input],
     model: NoiseModel,
+    code: &dyn SymbolCode,
     mut source: S,
     scratch: &mut SoaScratch,
 ) -> Result<SimOutcome<P::Output>, SimError> {
@@ -1427,7 +1432,6 @@ pub(crate) fn hierarchical_collapsed_over<P: Protocol, S: SharedBits>(
     assert_eq!(inputs.len(), n, "need one input per party");
     let t = protocol.length();
     let resolved = config.resolve(model);
-    let code = config.build_code();
     let metric = metric_for(model);
     let next_symbol = code.alphabet_size() - 1;
     let code_len = code.codeword_len();
@@ -1584,7 +1588,7 @@ pub(crate) fn hierarchical_collapsed_over<P: Protocol, S: SharedBits>(
                 let symbol = claim.unwrap_or(next_symbol);
                 let codeword = code.encode_packed(symbol);
                 energy += codeword.weight() as usize;
-                let decoded = source.symbol(&codeword, &*code, metric, &mut word);
+                let decoded = source.symbol(&codeword, code, metric, &mut word);
                 if decoded == next_symbol {
                     turn += 1;
                 } else if decoded < len {
@@ -1938,6 +1942,7 @@ mod tests {
             &config,
             &[1, 6, 6, 3],
             model,
+            &*config.build_code(),
             source,
             &mut scratch,
         );

@@ -14,7 +14,7 @@ use beeps_channel::{
 };
 use beeps_core::{
     HierarchicalSimulator, OneToZeroSimulator, OwnedRoundsSimulator, RepetitionSimulator,
-    RewindSimulator, SimError, SimOutcome, SimulatorConfig,
+    RewindSimulator, SimError, SimOutcome, Simulator, SimulatorConfig,
 };
 use beeps_ecc::BitMetric;
 use beeps_protocols::{InputSet, MultiOr, RollCall};
@@ -81,6 +81,29 @@ fn models() -> Vec<NoiseModel> {
     ]
 }
 
+/// Runs `simulate_batch` and asserts it equals, seed by seed, the
+/// scalar specification: `simulate_over` on a fresh `StochasticChannel`
+/// seeded like that trial — transcripts, outputs, statistics and errors
+/// all compared by value. Returns how many trials ended in an error.
+fn batch_matches_spec<I, O: PartialEq + std::fmt::Debug>(
+    sim: &dyn Simulator<I, O>,
+    inputs: &[I],
+    model: NoiseModel,
+    seeds: &[u64],
+) -> usize {
+    let name = sim.name();
+    let batch = sim.simulate_batch(inputs, model, seeds);
+    assert_eq!(batch.len(), seeds.len(), "{name} over {model}");
+    let mut errors = 0;
+    for (&seed, sliced) in seeds.iter().zip(batch) {
+        let mut fresh = StochasticChannel::new(inputs.len(), model, seed);
+        let spec = sim.simulate_over(inputs, model, &mut fresh);
+        errors += usize::from(spec.is_err());
+        assert_eq!(sliced, spec, "{name} over {model} seed {seed}");
+    }
+    errors
+}
+
 #[test]
 fn naked_execution_matches_roundtrip() {
     let p = InputSet::new(6);
@@ -143,7 +166,7 @@ fn rewind_scheme_matches_roundtrip() {
                     assert_eq!(a.outputs(), b.outputs());
                     assert_eq!(a.stats(), b.stats());
                 }
-                (a, b) => assert_eq!(a.is_err(), b.is_err(), "error mismatch over {model}"),
+                (a, b) => assert_eq!(a.err(), b.err(), "error mismatch over {model}"),
             }
         }
     }
@@ -168,7 +191,7 @@ fn hierarchical_scheme_matches_roundtrip() {
                     assert_eq!(a.outputs(), b.outputs());
                     assert_eq!(a.stats(), b.stats());
                 }
-                (a, b) => assert_eq!(a.is_err(), b.is_err(), "error mismatch over {model}"),
+                (a, b) => assert_eq!(a.err(), b.err(), "error mismatch over {model}"),
             }
         }
     }
@@ -193,14 +216,15 @@ fn owned_rounds_scheme_matches_roundtrip() {
                     assert_eq!(a.outputs(), b.outputs());
                     assert_eq!(a.stats(), b.stats());
                 }
-                (a, b) => assert_eq!(a.is_err(), b.is_err(), "error mismatch over {model}"),
+                (a, b) => assert_eq!(a.err(), b.err(), "error mismatch over {model}"),
             }
         }
     }
 }
 
 /// Transposition proof for the lane-sliced repetition engine: a 64-lane
-/// batch must be bitwise equal, trial by trial, to the scalar path.
+/// batch must be bitwise equal, trial by trial, to the scalar
+/// specification in every regime.
 #[test]
 fn repetition_batch_matches_per_trial() {
     let p = InputSet::new(5);
@@ -211,25 +235,13 @@ fn repetition_batch_matches_per_trial() {
     let sim = RepetitionSimulator::new(&p, config);
     let seeds: Vec<u64> = (0..9).map(|i| i * 1_000_003 + 17).collect();
     for model in models() {
-        let batch = sim.simulate_batch(&inputs, model, &seeds);
-        assert_eq!(batch.len(), seeds.len());
-        for (&seed, sliced) in seeds.iter().zip(batch) {
-            let scalar = sim.simulate(&inputs, model, seed).unwrap();
-            let sliced = sliced.unwrap();
-            assert_eq!(
-                scalar.transcript(),
-                sliced.transcript(),
-                "transcript diverged over {model} seed {seed}"
-            );
-            assert_eq!(scalar.outputs(), sliced.outputs());
-            assert_eq!(scalar.stats(), sliced.stats());
-        }
+        assert_eq!(batch_matches_spec(&sim, &inputs, model, &seeds), 0);
     }
 }
 
-/// Transposition proof for the lane-sliced rewind engine, including the
+/// Transposition proof for the rewind batch path, including the
 /// `BudgetExhausted` error path (transcripts, stats, and errors must all
-/// be bitwise equal to the scalar path, trial by trial).
+/// be bitwise equal to the scalar specification, trial by trial).
 #[test]
 fn rewind_batch_matches_per_trial() {
     let p = InputSet::new(4);
@@ -240,28 +252,13 @@ fn rewind_batch_matches_per_trial() {
     let sim = RewindSimulator::new(&p, config);
     let seeds: Vec<u64> = (0..9).map(|i| i * 6_700_417 + 3).collect();
     for model in models() {
-        let batch = sim.simulate_batch(&inputs, model, &seeds);
-        assert_eq!(batch.len(), seeds.len());
-        for (&seed, sliced) in seeds.iter().zip(batch) {
-            let scalar = sim.simulate(&inputs, model, seed);
-            match (scalar, sliced) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(
-                        a.transcript(),
-                        b.transcript(),
-                        "transcript diverged over {model} seed {seed}"
-                    );
-                    assert_eq!(a.outputs(), b.outputs());
-                    assert_eq!(a.stats(), b.stats());
-                }
-                (a, b) => assert_eq!(a.err(), b.err(), "error mismatch over {model} seed {seed}"),
-            }
-        }
+        batch_matches_spec(&sim, &inputs, model, &seeds);
     }
 }
 
 /// A rewind batch under a starved budget must reproduce the scalar
-/// path's `BudgetExhausted` errors exactly (rounds and committed count).
+/// specification's `BudgetExhausted` errors exactly (rounds and
+/// committed count).
 #[test]
 fn rewind_batch_matches_per_trial_when_budget_starved() {
     let p = InputSet::new(4);
@@ -273,21 +270,7 @@ fn rewind_batch_matches_per_trial_when_budget_starved() {
     let sim = RewindSimulator::new(&p, config);
     let seeds: Vec<u64> = (0..16).collect();
     let model = NoiseModel::Correlated { epsilon: 0.2 };
-    let batch = sim.simulate_batch(&inputs, model, &seeds);
-    let mut exhausted = 0;
-    for (&seed, sliced) in seeds.iter().zip(batch) {
-        let scalar = sim.simulate(&inputs, model, seed);
-        match (scalar, sliced) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a.transcript(), b.transcript(), "seed {seed}");
-                assert_eq!(a.stats(), b.stats());
-            }
-            (a, b) => {
-                assert_eq!(a.err(), b.err(), "error mismatch seed {seed}");
-                exhausted += 1;
-            }
-        }
-    }
+    let exhausted = batch_matches_spec(&sim, &inputs, model, &seeds);
     assert!(exhausted > 0, "starved budget never exhausted: weak test");
 }
 
@@ -317,8 +300,8 @@ fn degenerate_party_counts_match_roundtrip() {
                         assert_eq!(a.stats(), b.stats());
                     }
                     (a, b) => assert_eq!(
-                        a.is_err(),
-                        b.is_err(),
+                        a.err(),
+                        b.err(),
                         "error mismatch n={n} over {model} seed {seed}"
                     ),
                 }
@@ -499,8 +482,8 @@ fn windowed_retention_matches_full_when_budget_starved() {
     assert!(exhausted > 0, "starved budget never exhausted: weak test");
 }
 
-/// Transposition proof for the lane-sliced hierarchical engine: a batch
-/// must be bitwise equal, trial by trial, to the scalar path in every
+/// Transposition proof for the hierarchical batch path: a batch must be
+/// bitwise equal, trial by trial, to the scalar specification in every
 /// regime (independent noise falls back to the per-seed loop, which
 /// must be equally invisible).
 #[test]
@@ -513,29 +496,13 @@ fn hierarchical_batch_matches_per_trial() {
     let sim = HierarchicalSimulator::new(&p, config);
     let seeds: Vec<u64> = (0..9).map(|i| i * 999_983 + 29).collect();
     for model in models() {
-        let batch = sim.simulate_batch(&inputs, model, &seeds);
-        assert_eq!(batch.len(), seeds.len());
-        for (&seed, sliced) in seeds.iter().zip(batch) {
-            let scalar = sim.simulate(&inputs, model, seed);
-            match (scalar, sliced) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(
-                        a.transcript(),
-                        b.transcript(),
-                        "transcript diverged over {model} seed {seed}"
-                    );
-                    assert_eq!(a.outputs(), b.outputs());
-                    assert_eq!(a.stats(), b.stats());
-                }
-                (a, b) => assert_eq!(a.err(), b.err(), "error mismatch over {model} seed {seed}"),
-            }
-        }
+        batch_matches_spec(&sim, &inputs, model, &seeds);
     }
 }
 
 /// A hierarchical batch under a starved budget must reproduce the
-/// scalar path's `BudgetExhausted` errors exactly through the
-/// lane-sliced engine (rounds and committed count).
+/// scalar specification's `BudgetExhausted` errors exactly (rounds and
+/// committed count).
 #[test]
 fn hierarchical_batch_matches_per_trial_when_budget_starved() {
     let p = InputSet::new(8);
@@ -547,27 +514,13 @@ fn hierarchical_batch_matches_per_trial_when_budget_starved() {
         .build();
     let sim = HierarchicalSimulator::new(&p, config);
     let seeds: Vec<u64> = (0..32).collect();
-    let batch = sim.simulate_batch(&inputs, model, &seeds);
-    let mut exhausted = 0;
-    for (&seed, sliced) in seeds.iter().zip(batch) {
-        let scalar = sim.simulate(&inputs, model, seed);
-        match (scalar, sliced) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a.transcript(), b.transcript(), "seed {seed}");
-                assert_eq!(a.stats(), b.stats());
-            }
-            (a, b) => {
-                assert_eq!(a.err(), b.err(), "error mismatch seed {seed}");
-                exhausted += 1;
-            }
-        }
-    }
+    let exhausted = batch_matches_spec(&sim, &inputs, model, &seeds);
     assert!(exhausted > 0, "starved budget never exhausted: weak test");
 }
 
-/// Transposition proof for the lane-sliced owned-rounds engine across
-/// every regime (shared regimes ride the lane channel, independent
-/// noise the per-seed fallback — both must match the scalar path).
+/// Transposition proof for the owned-rounds batch path across every
+/// regime (shared regimes ride the lane channel, independent noise the
+/// per-seed fallback — both must match the scalar specification).
 #[test]
 fn owned_rounds_batch_matches_per_trial() {
     let p = RollCall::new(8);
@@ -578,29 +531,15 @@ fn owned_rounds_batch_matches_per_trial() {
     let sim = OwnedRoundsSimulator::new(&p, config);
     let seeds: Vec<u64> = (0..9).map(|i| i * 104_729 + 7).collect();
     for model in models() {
-        let batch = sim.simulate_batch(&inputs, model, &seeds);
-        assert_eq!(batch.len(), seeds.len());
-        for (&seed, sliced) in seeds.iter().zip(batch) {
-            let scalar = sim.simulate(&inputs, model, seed);
-            match (scalar, sliced) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(
-                        a.transcript(),
-                        b.transcript(),
-                        "transcript diverged over {model} seed {seed}"
-                    );
-                    assert_eq!(a.outputs(), b.outputs());
-                    assert_eq!(a.stats(), b.stats());
-                }
-                (a, b) => assert_eq!(a.err(), b.err(), "error mismatch over {model} seed {seed}"),
-            }
-        }
+        batch_matches_spec(&sim, &inputs, model, &seeds);
     }
 }
 
-/// Transposition proof for the lane-sliced one-to-zero engine. The
-/// sweep includes the regimes the scheme rejects: those must surface
-/// the identical `UnsupportedNoise` error from the batch path.
+/// Transposition proof for the one-to-zero batch path. The sweep
+/// includes the regimes the scheme rejects: those must surface the
+/// identical `UnsupportedNoise` error from the batch path. (An accepted
+/// regime with an invalid ε, which the lane channel refuses, is a row
+/// of `partial_final_lane_group_matches_per_trial`.)
 #[test]
 fn one_to_zero_batch_matches_per_trial() {
     let p = InputSet::new(5);
@@ -608,29 +547,13 @@ fn one_to_zero_batch_matches_per_trial() {
     let sim = OneToZeroSimulator::new(&p, 2, 32.0);
     let seeds: Vec<u64> = (0..9).map(|i| i * 15_485_863 + 11).collect();
     for model in models() {
-        let batch = sim.simulate_batch(&inputs, model, &seeds);
-        assert_eq!(batch.len(), seeds.len());
-        for (&seed, sliced) in seeds.iter().zip(batch) {
-            let scalar = sim.simulate(&inputs, model, seed);
-            match (scalar, sliced) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(
-                        a.transcript(),
-                        b.transcript(),
-                        "transcript diverged over {model} seed {seed}"
-                    );
-                    assert_eq!(a.outputs(), b.outputs());
-                    assert_eq!(a.stats(), b.stats());
-                }
-                (a, b) => assert_eq!(a.err(), b.err(), "error mismatch over {model} seed {seed}"),
-            }
-        }
+        batch_matches_spec(&sim, &inputs, model, &seeds);
     }
 }
 
 /// A one-to-zero batch at the minimum legal budget under heavy erasure
-/// must reproduce the scalar path's `BudgetExhausted` errors exactly
-/// through the lane-sliced engine.
+/// must reproduce the scalar specification's `BudgetExhausted` errors
+/// exactly.
 #[test]
 fn one_to_zero_batch_matches_per_trial_when_budget_starved() {
     let p = InputSet::new(5);
@@ -638,54 +561,71 @@ fn one_to_zero_batch_matches_per_trial_when_budget_starved() {
     let sim = OneToZeroSimulator::new(&p, 2, 2.0);
     let model = NoiseModel::OneSidedOneToZero { epsilon: 0.45 };
     let seeds: Vec<u64> = (0..24).collect();
-    let batch = sim.simulate_batch(&inputs, model, &seeds);
-    let mut exhausted = 0;
-    for (&seed, sliced) in seeds.iter().zip(batch) {
-        let scalar = sim.simulate(&inputs, model, seed);
-        match (scalar, sliced) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a.transcript(), b.transcript(), "seed {seed}");
-                assert_eq!(a.stats(), b.stats());
-            }
-            (a, b) => {
-                assert_eq!(a.err(), b.err(), "error mismatch seed {seed}");
-                exhausted += 1;
-            }
-        }
-    }
+    let exhausted = batch_matches_spec(&sim, &inputs, model, &seeds);
     assert!(exhausted > 0, "starved budget never exhausted: weak test");
 }
 
-/// A batch one trial past a full lane group (65 seeds = 64 + 1) must
-/// split cleanly: the full group and the single-lane remainder both
-/// bitwise match the scalar path.
+/// Routing edge cases of every scheme's `simulate_batch`, one row per
+/// scheme: an empty seed slice gives an empty batch; an invalid ε gives
+/// exactly `simulate`'s per-seed `UnsupportedNoise` errors (no channel
+/// can be built for it, so `simulate` is the reference here); and 65
+/// seeds (one full lane group plus a single-lane remainder) match the
+/// scalar specification seed by seed.
 #[test]
 fn partial_final_lane_group_matches_per_trial() {
-    let p = InputSet::new(5);
-    let inputs = [2, 9, 0, 0, 4];
-    let model = NoiseModel::Correlated { epsilon: 0.1 };
-    let config = SimulatorConfig::builder(5).model(model).build();
-    let sim = RepetitionSimulator::new(&p, config);
-    let seeds: Vec<u64> = (0..65).map(|i| i * 2_097_593 + 41).collect();
-    let batch = sim.simulate_batch(&inputs, model, &seeds);
-    assert_eq!(batch.len(), seeds.len());
-    for (&seed, sliced) in seeds.iter().zip(batch) {
-        let scalar = sim.simulate(&inputs, model, seed).unwrap();
-        let sliced = sliced.unwrap();
-        assert_eq!(
-            scalar.transcript(),
-            sliced.transcript(),
-            "transcript diverged at seed {seed}"
-        );
-        assert_eq!(scalar.outputs(), sliced.outputs());
-        assert_eq!(scalar.stats(), sliced.stats());
+    fn edge_cases<I, O: PartialEq + std::fmt::Debug>(
+        sim: &dyn Simulator<I, O>,
+        inputs: &[I],
+        model: NoiseModel,
+        invalid: NoiseModel,
+    ) {
+        let name = sim.name();
+        assert!(sim.simulate_batch(inputs, model, &[]).is_empty(), "{name}");
+        let seeds: Vec<u64> = (0..65).map(|i| i * 2_097_593 + 41).collect();
+        let batch = sim.simulate_batch(inputs, invalid, &seeds);
+        assert_eq!(batch.len(), seeds.len(), "{name} over {invalid}");
+        for (&seed, sliced) in seeds.iter().zip(batch) {
+            let scalar = sim.simulate(inputs, invalid, seed);
+            assert!(
+                matches!(scalar, Err(SimError::UnsupportedNoise { .. })),
+                "{name} accepted {invalid}"
+            );
+            assert_eq!(sliced, scalar, "{name} over {invalid} seed {seed}");
+        }
+        batch_matches_spec(sim, inputs, model, &seeds);
     }
+
+    let set = InputSet::new(5);
+    let set_inputs = [2, 9, 0, 0, 4];
+    let roll = RollCall::new(5);
+    let roll_inputs = [true, false, true, false, false];
+    let model = NoiseModel::Correlated { epsilon: 0.1 };
+    let invalid = NoiseModel::Correlated { epsilon: 1.5 };
+    let down = NoiseModel::OneSidedOneToZero { epsilon: 0.2 };
+    let invalid_down = NoiseModel::OneSidedOneToZero { epsilon: 1.5 };
+    let config = SimulatorConfig::builder(5).model(model).build();
+    let rep = RepetitionSimulator::new(&set, config.clone());
+    let rewind = RewindSimulator::new(&set, config.clone());
+    let hier = HierarchicalSimulator::new(&set, config.clone());
+    let otz = OneToZeroSimulator::new(&set, 2, 32.0);
+    let owned = OwnedRoundsSimulator::new(&roll, config);
+    type SetSim<'a> = &'a dyn Simulator<usize, std::collections::BTreeSet<usize>>;
+    let set_rows: [(SetSim<'_>, NoiseModel, NoiseModel); 4] = [
+        (&rep, model, invalid),
+        (&rewind, model, invalid),
+        (&hier, model, invalid),
+        (&otz, down, invalid_down),
+    ];
+    for (sim, model, invalid) in set_rows {
+        edge_cases(sim, &set_inputs, model, invalid);
+    }
+    edge_cases(&owned, &roll_inputs, model, invalid);
 }
 
 /// Independent noise through the repetition lane engine at the
 /// degenerate party counts: one party (a delivery word that is all
 /// tail) and 65 parties (the flip calendar straddles a word boundary).
-/// Both must stay bitwise identical to the scalar path.
+/// Both must stay bitwise identical to the scalar specification.
 #[test]
 fn independent_repetition_batch_matches_at_degenerate_party_counts() {
     let model = NoiseModel::Independent { epsilon: 0.05 };
@@ -695,19 +635,7 @@ fn independent_repetition_batch_matches_at_degenerate_party_counts() {
         let config = SimulatorConfig::builder(n).model(model).build();
         let sim = RepetitionSimulator::new(&p, config);
         let seeds: Vec<u64> = (0..6).map(|i| i * 32_452_843 + 13).collect();
-        let batch = sim.simulate_batch(&inputs, model, &seeds);
-        assert_eq!(batch.len(), seeds.len());
-        for (&seed, sliced) in seeds.iter().zip(batch) {
-            let scalar = sim.simulate(&inputs, model, seed).unwrap();
-            let sliced = sliced.unwrap();
-            assert_eq!(
-                scalar.transcript(),
-                sliced.transcript(),
-                "transcript diverged at n={n} seed {seed}"
-            );
-            assert_eq!(scalar.outputs(), sliced.outputs());
-            assert_eq!(scalar.stats(), sliced.stats());
-        }
+        assert_eq!(batch_matches_spec(&sim, &inputs, model, &seeds), 0);
     }
 }
 
@@ -727,7 +655,7 @@ fn one_to_zero_scheme_matches_roundtrip() {
                 assert_eq!(a.outputs(), b.outputs());
                 assert_eq!(a.stats(), b.stats());
             }
-            (a, b) => assert_eq!(a.is_err(), b.is_err(), "error mismatch seed {seed}"),
+            (a, b) => assert_eq!(a.err(), b.err(), "error mismatch seed {seed}"),
         }
     }
 }
